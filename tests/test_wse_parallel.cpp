@@ -8,11 +8,13 @@
 #include <algorithm>
 #include <cstring>
 #include <functional>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/solver.hpp"
 #include "fv/problem.hpp"
+#include "golden_digest.hpp"
 #include "telemetry/host_profiler.hpp"
 #include "telemetry/session.hpp"
 #include "wse/fabric.hpp"
@@ -304,9 +306,13 @@ TEST(ParallelFabric, PartitionNeverCreatesEmptyShards) {
 // bitwise identical under ANY shard layout — 2D tiles, 1D strips, serial —
 // not just any thread count. The (t, emitting PE, emission index) event
 // order plus sound per-boundary horizons make the round schedule's shape
-// invisible.
-core::DataflowResult solve_with_layout(ShardGrid grid, u32 threads,
-                                       core::SimEngine engine) {
+// invisible. Every layout and thread count must reproduce one golden
+// digest (tests/golden_digest.hpp), recorded with both device-program
+// implementations in agreement. Never edit it to make the test pass.
+constexpr golden::Digest kShardLayouts11x7x5{0x0f6e7989d73701b0ull, 0x04f90ae2c4aa537eull};
+
+golden::Solve solve_with_layout(ShardGrid grid, u32 threads,
+                                core::SimEngine engine) {
   // Non-square, non-multiple extents: 11x7x5 forces ragged tile rects.
   const auto problem = FlowProblem::quarter_five_spot(11, 7, 5, 9, 0.8);
   core::DataflowConfig config;
@@ -315,33 +321,33 @@ core::DataflowResult solve_with_layout(ShardGrid grid, u32 threads,
   config.sim_threads = threads;
   config.shard_grid = grid;
   config.engine = engine;
-  return core::solve_dataflow(problem, config);
+  return golden::solve_cg(problem, config);
 }
 
 TEST(ParallelFabric, SolveIsBitwiseIdenticalAcrossShardLayouts) {
-  for (core::SimEngine engine :
-       {core::SimEngine::Bytecode, core::SimEngine::Legacy}) {
-    const auto serial = solve_with_layout(ShardGrid{1, 1}, 1, engine);
-    const ShardGrid grids[] = {
-        {},     // cost model (the default 2D choice)
-        {0, 1}, // 1D row strips (the legacy layout)
-        {2, 2}, {3, 1}, {1, 3}, {2, 3},
-    };
-    for (const ShardGrid& grid : grids) {
-      for (u32 threads : {1u, 2u, 3u, 4u, 7u, 8u}) {
-        const auto result = solve_with_layout(grid, threads, engine);
-        EXPECT_TRUE(same_bits(result.delta, serial.delta))
-            << "delta differs: grid {" << grid.rows << "," << grid.cols
-            << "} threads=" << threads << " engine=" << static_cast<int>(engine);
-        EXPECT_TRUE(same_bits(result.pressure, serial.pressure));
-        EXPECT_EQ(result.iterations, serial.iterations);
-        EXPECT_EQ(result.device_cycles, serial.device_cycles);
-        EXPECT_TRUE(result.fabric == serial.fabric)
-            << "FabricStats differ: grid {" << grid.rows << "," << grid.cols
-            << "} threads=" << threads;
-      }
-    }
-  }
+  const ShardGrid grids[] = {
+      {},     // cost model (the default 2D choice)
+      {0, 1}, // 1D row strips (the legacy layout)
+      {2, 2}, {3, 1}, {1, 3}, {2, 3},
+  };
+  const auto check = [](ShardGrid grid, u32 threads) {
+    const std::string label = "grid {" + std::to_string(grid.rows) + "," +
+                              std::to_string(grid.cols) +
+                              "} threads=" + std::to_string(threads);
+    const golden::Solve bytecode =
+        solve_with_layout(grid, threads, core::SimEngine::Bytecode);
+    const golden::Solve legacy =
+        solve_with_layout(grid, threads, core::SimEngine::Legacy);
+    EXPECT_EQ(golden::digest(bytecode).result, golden::digest(legacy).result)
+        << label;
+    EXPECT_EQ(golden::digest(bytecode).telemetry,
+              golden::digest(legacy).telemetry)
+        << label;
+    golden::expect_digest(bytecode, kShardLayouts11x7x5, label);
+  };
+  check(ShardGrid{1, 1}, 1);
+  for (const ShardGrid& grid : grids)
+    for (u32 threads : {1u, 2u, 3u, 4u, 7u, 8u}) check(grid, threads);
 }
 
 TEST(ParallelFabric, DegenerateFabricsCollapseToSerial) {
