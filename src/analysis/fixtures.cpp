@@ -9,7 +9,9 @@
 #include "csl/any_source.hpp"
 #include "csl/broadcast.hpp"
 #include "csl/halo.hpp"
+#include "csl/lowering.hpp"
 #include "wse/bytecode.hpp"
+#include "wse/bytecode_interp.hpp"
 #include "wse/dsd.hpp"
 #include "wse/router.hpp"
 
@@ -32,49 +34,60 @@ namespace {
 
 // ---------- known-good collective drivers ----------
 
-class HaloProgram final : public PeProgram {
-public:
-  explicit HaloProgram(u32 nz) : nz_(nz) {}
+// The Table-I halo exchange and the all-reduce are bytecode programs built
+// with the solver's emitters (csl/lowering.hpp): one collective round,
+// then halt.
 
-  void on_start(PeContext& ctx) override {
-    halo_.configure(ctx);
-    column_ = ctx.memory().alloc_f32("column", nz_);
-    for (auto& buf : halos_) buf = ctx.memory().alloc_f32("halo", nz_);
-    halo_.start(
-        ctx, wse::dsd(column_), wse::dsd(halos_[0]), wse::dsd(halos_[1]),
-        wse::dsd(halos_[2]), wse::dsd(halos_[3]), nullptr,
-        [](PeContext& c) { c.halt(); });
-  }
+std::shared_ptr<const wse::bc::Program> build_halo(PeContext& ctx, u32 nz) {
+  csl::HaloExchange().configure(ctx);
+  const MemSpan column = ctx.memory().alloc_f32("column", nz);
+  std::array<MemSpan, 4> halos{};
+  for (auto& buf : halos) buf = ctx.memory().alloc_f32("halo", nz);
+  wse::bc::Builder b("halo");
+  csl::HaloEmitter halo(
+      b, ctx.coord(), ctx.fabric_width(), ctx.fabric_height(),
+      {csl::HaloExchange::Colors{}, wse::dsd(column), wse::dsd(halos[0]),
+       wse::dsd(halos[1]), wse::dsd(halos[2]), wse::dsd(halos[3]),
+       /*face=*/nullptr, /*cont_reg=*/0, /*pending_ureg=*/0});
+  const auto entry = b.make_label();
+  const auto done = b.make_label();
+  b.bind(entry);
+  b.set_entry(entry);
+  b.setc(0, done);
+  halo.emit_start();
+  b.ret();
+  b.bind(done);
+  b.halt();
+  b.ret();
+  halo.emit_handlers();
+  return std::make_shared<const wse::bc::Program>(b.finish());
+}
 
-  void on_task(PeContext& ctx, Color color) override { halo_.on_task(ctx, color); }
-
-  ProgramManifest manifest(PeCoord coord, i64 width, i64 height) const override {
-    return halo_.manifest(coord, width, height);
-  }
-
-private:
-  u32 nz_;
-  csl::HaloExchange halo_;
-  MemSpan column_{};
-  std::array<MemSpan, 4> halos_{};
-};
-
-class AllReduceProgram final : public PeProgram {
-public:
-  void on_start(PeContext& ctx) override {
-    reduce_.configure(ctx);
-    reduce_.start(ctx, 1.0f, [](PeContext& c, f32) { c.halt(); });
-  }
-
-  void on_task(PeContext& ctx, Color color) override { reduce_.on_task(ctx, color); }
-
-  ProgramManifest manifest(PeCoord coord, i64 width, i64 height) const override {
-    return reduce_.manifest(coord, width, height);
-  }
-
-private:
-  csl::AllReduce reduce_;
-};
+std::shared_ptr<const wse::bc::Program> build_allreduce(PeContext& ctx,
+                                                        f32 value) {
+  csl::AllReduce reduce_routes;
+  reduce_routes.configure(ctx);
+  wse::bc::Builder b("allreduce");
+  csl::ReduceEmitter reduce(b, ctx.coord(), ctx.fabric_width(),
+                            ctx.fabric_height(),
+                            {csl::AllReduce::Colors{},
+                             reduce_routes.slot_value().offset_words,
+                             reduce_routes.slot_in().offset_words,
+                             /*cont_reg=*/1});
+  const auto entry = b.make_label();
+  const auto done = b.make_label();
+  b.bind(entry);
+  b.set_entry(entry);
+  reduce.emit_handler_bindings();
+  b.umovi(0, value); // this PE's contribution
+  b.setc(1, done);
+  b.jmp(reduce.start_label());
+  b.bind(done);
+  b.halt();
+  b.ret();
+  reduce.emit_blocks();
+  return std::make_shared<const wse::bc::Program>(b.finish());
+}
 
 class EastwardProgram final : public PeProgram {
 public:
@@ -214,41 +227,35 @@ public:
 
 // ---------- seeded bytecode defects ----------
 
-/// Minimal bytecode-program wrapper: exposes a prebuilt flat instruction
-/// stream (the factory closure keeps the Program alive, so the verifier's
-/// per-pointer analysis cache stays valid) and runs an optional on_start
-/// setup for router configuration. The manifest is derived from the
-/// stream itself, the same contract the solver's bytecode wrappers keep.
-class BcFixtureProgram final : public PeProgram {
-public:
-  BcFixtureProgram(std::shared_ptr<const wse::bc::Program> program,
-                   std::function<void(PeContext&)> setup)
-      : program_(std::move(program)), setup_(std::move(setup)) {}
-
-  void on_start(PeContext& ctx) override {
-    if (setup_) setup_(ctx);
-  }
-  void on_task(PeContext&, Color) override {}
-  const wse::bc::Program* bytecode() const override { return program_.get(); }
-  wse::bc::VmState* bytecode_state() override { return &vm_; }
-  ProgramManifest manifest(PeCoord, i64, i64) const override {
-    return wse::bc::derive_manifest(*program_);
-  }
-
-private:
-  std::shared_ptr<const wse::bc::Program> program_;
-  std::function<void(PeContext&)> setup_;
-  wse::bc::VmState vm_;
-};
+/// A seeded bytecode defect: `setup` installs routes and allocations, and
+/// the prebuilt stream is exposed for static analysis but never started —
+/// the defects exist to be rejected, not run. The manifest is derived from
+/// the stream (PeProgram's default).
+std::unique_ptr<PeProgram>
+defect_program(std::shared_ptr<const wse::bc::Program> program,
+               std::function<void(PeContext&)> setup) {
+  return std::make_unique<wse::bc::BuiltProgram>(
+      [program = std::move(program), setup = std::move(setup)](PeContext& ctx) {
+        if (setup) setup(ctx);
+        return program;
+      },
+      /*start=*/false);
+}
 
 } // namespace
 
 ProgramFactory halo_program(u32 nz) {
-  return [nz](PeCoord) { return std::make_unique<HaloProgram>(nz); };
+  return [nz](PeCoord) {
+    return std::make_unique<wse::bc::BuiltProgram>(
+        [nz](PeContext& ctx) { return build_halo(ctx, nz); });
+  };
 }
 
-ProgramFactory allreduce_program() {
-  return [](PeCoord) { return std::make_unique<AllReduceProgram>(); };
+ProgramFactory allreduce_program(f32 value) {
+  return [value](PeCoord) {
+    return std::make_unique<wse::bc::BuiltProgram>(
+        [value](PeContext& ctx) { return build_allreduce(ctx, value); });
+  };
 }
 
 ProgramFactory eastward_program(u32 block) {
@@ -285,7 +292,7 @@ ProgramFactory bc_oob_span_defect() {
   auto program =
       std::make_shared<const wse::bc::Program>(b.finish());
   return [program](PeCoord) {
-    return std::make_unique<BcFixtureProgram>(program, [](PeContext& ctx) {
+    return defect_program(program, [](PeContext& ctx) {
       ctx.memory().alloc_f32("buf", 16);
     });
   };
@@ -296,7 +303,7 @@ ProgramFactory bc_unset_continuation_defect() {
   b.jind(0); // pc 0: no reachable SETC ever arms cont0
   auto program = std::make_shared<const wse::bc::Program>(b.finish());
   return [program](PeCoord) {
-    return std::make_unique<BcFixtureProgram>(program, nullptr);
+    return defect_program(program, nullptr);
   };
 }
 
@@ -310,7 +317,7 @@ ProgramFactory bc_unbounded_loop_defect() {
   b.ret();
   auto program = std::make_shared<const wse::bc::Program>(b.finish());
   return [program](PeCoord) {
-    return std::make_unique<BcFixtureProgram>(program, nullptr);
+    return defect_program(program, nullptr);
   };
 }
 
@@ -327,7 +334,7 @@ ProgramFactory bc_send_overlap_defect() {
   b.ret();
   auto program = std::make_shared<const wse::bc::Program>(b.finish());
   return [program](PeCoord) {
-    return std::make_unique<BcFixtureProgram>(program, [](PeContext& ctx) {
+    return defect_program(program, [](PeContext& ctx) {
       ctx.memory().alloc_f32("buf", 16);
       // Self-delivery loop: inject from the ramp, deliver to the ramp.
       ctx.configure_router(kDefectColor,
@@ -348,7 +355,7 @@ ProgramFactory bc_unbalanced_send_defect() {
   auto rx_program = std::make_shared<const wse::bc::Program>(rx.finish());
   return [tx_program, rx_program](PeCoord coord) {
     if (coord.x == 0) {
-      return std::make_unique<BcFixtureProgram>(
+      return defect_program(
           tx_program, [](PeContext& ctx) {
             ctx.memory().alloc_f32("buf", 16);
             ctx.configure_router(kDefectColor,
@@ -356,7 +363,7 @@ ProgramFactory bc_unbalanced_send_defect() {
                                               DirMask::of(Dir::East)));
           });
     }
-    return std::make_unique<BcFixtureProgram>(
+    return defect_program(
         rx_program, [](PeContext& ctx) {
           ctx.memory().alloc_f32("buf", 16);
           ctx.configure_router(kDefectColor,

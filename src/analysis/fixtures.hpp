@@ -2,9 +2,12 @@
 // Verification fixtures: complete device programs for the static verifier
 // (src/analysis/verifier.hpp) and its tests.
 //
-// The known-good programs drive the four shipped CSL collectives exactly
-// the way the solver does — configure in on_start, declare the rest via
-// ProgramManifest — and must verify clean on any fabric shape. Each
+// The known-good programs drive the four shipped CSL collectives and must
+// verify clean on any fabric shape. The halo exchange and the all-reduce
+// are bytecode programs built with the solver's emitters
+// (csl/lowering.hpp), so their manifests derive from the instruction
+// stream; the eastward exchange and the any-source broadcast are
+// hand-written and declare their task-time traffic via ProgramManifest. Each
 // seeded-defect program violates exactly one check and exists so tests
 // (and fabric_lint demos) can assert the verifier rejects it with the
 // right diagnostic.
@@ -19,8 +22,9 @@ namespace fvdf::analysis::fixtures {
 /// Table-I four-step halo exchange, one round, nz-word columns.
 wse::ProgramFactory halo_program(u32 nz = 4);
 
-/// Three-phase whole-fabric all-reduce contributing 1.0 per PE.
-wse::ProgramFactory allreduce_program();
+/// Three-phase whole-fabric all-reduce contributing `value` per PE; the
+/// fabric total ends in every PE's f0 register (bytecode_state()->f[0]).
+wse::ProgramFactory allreduce_program(f32 value = 1.0f);
 
 /// Fig.-4 eastward exchange (single color, two-position ring).
 wse::ProgramFactory eastward_program(u32 block = 4);

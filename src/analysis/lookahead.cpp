@@ -85,7 +85,7 @@ plan_channel_lookahead(i64 width, i64 height,
                        const std::vector<ShardTile>& tiles, u32 tile_rows,
                        u32 tile_cols, const wse::ProgramFactory& factory,
                        const wse::TimingParams& timing,
-                       wse::PeMemoryParams mem, wse::LookaheadSource source) {
+                       wse::PeMemoryParams mem) {
   FVDF_CHECK_MSG(width >= 1 && height >= 1, "fabric dims must be positive");
   FVDF_CHECK_MSG(tile_rows >= 1 && tile_cols >= 1 &&
                      tiles.size() ==
@@ -96,11 +96,13 @@ plan_channel_lookahead(i64 width, i64 height,
   // Instantiate every PE statically: real routers (for the crossing scan)
   // plus the injection summary from observed sends and either the
   // abstract interpreter's reachable-SEND facts (bytecode programs) or
-  // the declared manifest. Analyses are cached per distinct program —
-  // factories hand out shared lowered streams, so pointer identity holds
-  // for the lifetime of this pass.
+  // the declared manifest (hand-written programs). Analyses are cached
+  // per distinct instruction stream, keyed by address; the first PE
+  // program holding each stream stays alive for the pass, so no later
+  // stream can reuse a cached address.
   std::vector<wse::Router> routers(static_cast<std::size_t>(width * height));
   std::map<const wse::bc::Program*, ProgramAnalysis> analyses;
+  std::vector<std::unique_ptr<wse::PeProgram>> stream_owners;
   AnalysisParams analysis_params;
   analysis_params.timing = timing;
   InjectSummary injects;
@@ -115,16 +117,14 @@ plan_channel_lookahead(i64 width, i64 height,
         std::unique_ptr<wse::PeProgram> program = factory(coord);
         if (program == nullptr) return conservative_table(tile_rows, tile_cols);
         program->on_start(ctx);
-        const wse::bc::Program* bytecode =
-            source == wse::LookaheadSource::Bytecode ? program->bytecode()
-                                                     : nullptr;
-        if (bytecode != nullptr) {
+        if (const wse::bc::Program* bytecode = program->bytecode()) {
           auto it = analyses.find(bytecode);
           if (it == analyses.end()) {
             it = analyses
                      .emplace(bytecode,
                               analyze_program(*bytecode, analysis_params))
                      .first;
+            stream_owners.push_back(std::move(program));
           }
           injects.absorb(ctx.observed()); // on_start sends are real traffic
           injects.absorb(it->second);
@@ -194,8 +194,7 @@ plan_channel_lookahead(i64 width, i64 height,
 namespace fvdf::wse {
 
 ChannelLookahead
-Fabric::plan_channel_lookahead(const ProgramFactory& factory,
-                               LookaheadSource source) const {
+Fabric::plan_channel_lookahead(const ProgramFactory& factory) const {
   std::vector<analysis::ShardTile> tiles;
   tiles.reserve(shards_.size());
   for (const Shard& shard : shards_)
@@ -203,7 +202,7 @@ Fabric::plan_channel_lookahead(const ProgramFactory& factory,
                                         shard.col_begin, shard.col_end});
   return analysis::plan_channel_lookahead(width_, height_, tiles, tile_rows_,
                                           tile_cols_, factory, timing_,
-                                          mem_params_, source);
+                                          mem_params_);
 }
 
 } // namespace fvdf::wse

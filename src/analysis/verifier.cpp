@@ -43,7 +43,7 @@ struct PeModel {
   u64 used_bytes = 0;
   bool usable = false; // factory + on_start succeeded
   // Abstract-interpretation result for this PE's bytecode (owned by the
-  // Verifier's per-program cache), nullptr for legacy programs.
+  // Verifier's per-program cache), nullptr for hand-written programs.
   const ProgramAnalysis* bytecode = nullptr;
 };
 
@@ -125,16 +125,21 @@ private:
           report_.memory_high_water_pe = coord;
         }
         if (options_.bytecode_analysis)
-          if (const wse::bc::Program* bytecode = program->bytecode())
+          if (const wse::bc::Program* bytecode = program->bytecode()) {
+            const std::size_t cached = analyses_.size();
             model.bytecode = analyze_bytecode(*bytecode, model);
+            if (analyses_.size() > cached)
+              stream_owners_.push_back(std::move(program));
+          }
       }
     }
   }
 
-  /// Runs the abstract interpreter once per distinct Program (PEs with the
-  /// same lowering share one instruction stream through the factory's
-  /// program cache, so the pointer is a stable identity for the factory's
-  /// lifetime) and reports its defects at the first PE that loads it.
+  /// Runs the abstract interpreter once per distinct Program and reports
+  /// its defects at the first PE that loads it. PEs with the same lowering
+  /// share one instruction stream through the factory's program cache;
+  /// programs that own their stream keep it alive through
+  /// stream_owners_, so the address stays a stable identity for the pass.
   const ProgramAnalysis* analyze_bytecode(const wse::bc::Program& program,
                                           const PeModel& model) {
     auto [it, fresh] = analyses_.try_emplace(&program);
@@ -606,6 +611,9 @@ private:
   wse::TimingParams timing_{};
   std::vector<PeModel> pes_;
   std::map<const wse::bc::Program*, ProgramAnalysis> analyses_;
+  // The first PE program holding each analyzed stream (see
+  // analyze_bytecode).
+  std::vector<std::unique_ptr<wse::PeProgram>> stream_owners_;
   VerifyReport report_;
 };
 

@@ -99,15 +99,19 @@ void save_checkpoint(const std::string& path, const FieldCheckpoint& checkpoint)
   }
   const u64 checksum = fnv1a64(payload.data(), payload.size());
 
+  std::string file(kMagic, 4);
+  append_pod(file, kVersion);
+  file += payload;
+  append_pod(file, checksum);
+  write_file_atomic(path, file);
+}
+
+void write_file_atomic(const std::string& path, std::string_view bytes) {
   const std::string tmp = path + ".tmp";
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     FVDF_CHECK_MSG(out.good(), "cannot open " << tmp);
-    out.write(kMagic, 4);
-    const u32 version = kVersion;
-    out.write(reinterpret_cast<const char*>(&version), sizeof(version));
-    out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-    out.write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     FVDF_CHECK_MSG(out.good(), "write failed: " << tmp);
   }
   FVDF_CHECK_MSG(std::rename(tmp.c_str(), path.c_str()) == 0,

@@ -11,6 +11,7 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.hpp"
@@ -31,9 +32,15 @@ struct FieldCheckpoint {
   void require_grid(i64 nx, i64 ny, i64 nz, const std::string& what) const;
 };
 
-/// Writes the checkpoint atomically-ish (temp file + rename), format
-/// version 2 (payload checksum).
+/// Writes the checkpoint through write_file_atomic, format version 2
+/// (payload checksum).
 void save_checkpoint(const std::string& path, const FieldCheckpoint& checkpoint);
+
+/// Writes `bytes` to `path` via a temp file (`path` + ".tmp") and a rename,
+/// so readers see the old file or the complete new one, never a torn
+/// write. Throws fvdf::Error if the temp file cannot be opened or written,
+/// or the rename fails.
+void write_file_atomic(const std::string& path, std::string_view bytes);
 
 /// Reads and validates a checkpoint (versions 1 and 2).
 FieldCheckpoint load_checkpoint(const std::string& path);

@@ -35,8 +35,7 @@ constexpr u8 kDone = static_cast<u8>(telemetry::Phase::Done);
 //   f7+ scratch
 
 /// The DONE block shared by both programs: publish {k, converged, rr} to
-/// the result scalars (uncharged host-visible stores, like the legacy
-/// finish) and halt.
+/// the result scalars (uncharged host-visible stores) and halt.
 void emit_finish(bc::Builder& b, const PeLayout& layout, f32 converged_flag) {
   b.phase(kDone);
   b.uk2f(7);
@@ -280,7 +279,7 @@ lower_chebyshev(const ChebyshevPeConfig& config, const LoweringSite& site) {
   const PeLayout& L = site.layout;
   const bool otf = config.mode == FluxMode::OnTheFly;
 
-  // Recurrence scalars, computed exactly as the legacy constructor does.
+  // Recurrence scalars, identical on every PE (no communication needed).
   const f32 theta = 0.5f * (config.lambda_max + config.lambda_min);
   const f32 delta = 0.5f * (config.lambda_max - config.lambda_min);
   const f32 sigma = theta / delta;
@@ -476,11 +475,6 @@ void BytecodeCgProgram::on_task(PeContext& ctx, wse::Color color) {
   bc::run(ctx, vm_, *program_, pc);
 }
 
-wse::ProgramManifest BytecodeCgProgram::manifest(wse::PeCoord, i64, i64) const {
-  // The instruction stream is the single source of truth.
-  return bc::derive_manifest(*program_);
-}
-
 BytecodeChebyshevProgram::BytecodeChebyshevProgram(
     ChebyshevPeConfig config, wse::PeCoord coord, i64 width, i64 height,
     const wse::PeMemoryParams& mem, std::shared_ptr<ProgramCache> cache)
@@ -519,11 +513,6 @@ void BytecodeChebyshevProgram::on_task(PeContext& ctx, wse::Color color) {
   FVDF_CHECK_MSG(pc != bc::kNoPc, "Chebyshev program: unexpected task color "
                                       << static_cast<int>(color));
   bc::run(ctx, vm_, *program_, pc);
-}
-
-wse::ProgramManifest BytecodeChebyshevProgram::manifest(wse::PeCoord, i64,
-                                                        i64) const {
-  return bc::derive_manifest(*program_);
 }
 
 } // namespace fvdf::core

@@ -1,23 +1,32 @@
 #pragma once
-// Bytecode-compiled device programs (docs/simulator.md, "Bytecode ISA").
+// The FV device programs (docs/simulator.md, "Bytecode ISA").
 //
-// lower_cg / lower_chebyshev translate the 14-state CG machine and the
-// Chebyshev iteration — including their csl collectives — into one flat
-// wse::bc::Program per PE shape. The BytecodeCgProgram /
-// BytecodeChebyshevProgram wrappers are drop-in PeProgram replacements:
-// on_start performs the same setup the legacy programs did (plan, route
-// configuration, upload) and then enters the interpreter; every later
-// task activation is dispatched by the fabric directly into the bytecode
-// stream (wse/fabric.cpp's fast path), never through on_task virtual
-// dispatch.
+// "Unlike the conventional approach, our implementation of the conjugate
+// gradient algorithm on a dataflow architecture utilizes a state machine.
+// We have devised 14 states to orchestrate the various steps involved."
+// (Sec. III-D). lower_cg translates that 14-state CG machine, and
+// lower_chebyshev the reduction-free Chebyshev iteration, into one flat
+// wse::bc::Program per PE shape, including their Table-I collectives
+// (csl/lowering.hpp). Every conditional of Algorithm 1 is a branch in
+// the stream, and all data movement stays asynchronous: a face's flux is
+// computed the moment its halo lands (Sec. III-B) and the dot products go
+// through the whole-fabric all-reduce (Sec. III-C).
+//
+// The BytecodeCgProgram / BytecodeChebyshevProgram wrappers run the
+// setup in on_start (plan, route configuration, upload) and then enter
+// the interpreter; every later task activation is dispatched by the
+// fabric directly into the bytecode stream (wse/fabric.cpp), never
+// through on_task virtual dispatch.
 //
 // Lowering happens eagerly at construction against a probe PeMemory (the
 // same allocation sequence on_start later performs against the real
-// arena, so embedded offsets agree), which makes manifest() — derived
-// from the instruction stream — and bytecode() available to the verifier
-// and the lookahead planner before the fabric runs. PEs whose lowering
-// inputs coincide (coordinate parity, fabric edges, Dirichlet count)
-// share one immutable Program through a mutex-guarded cache.
+// arena, so embedded offsets agree), which makes the manifest — derived
+// from the instruction stream by PeProgram::manifest — and bytecode()
+// available to the verifier and the lookahead planner before the fabric
+// runs. PEs whose lowering inputs coincide (coordinate parity, fabric
+// edges, Dirichlet count) share one immutable Program through a
+// mutex-guarded cache. The GoldenDigest tests
+// (tests/test_dataflow_solver.cpp) pin the programs' results bit for bit.
 
 #include <functional>
 #include <memory>
@@ -25,9 +34,7 @@
 #include <map>
 #include <tuple>
 
-#include "core/chebyshev_program.hpp"
 #include "core/mapping.hpp"
-#include "core/pe_program.hpp"
 #include "csl/allreduce.hpp"
 #include "csl/halo.hpp"
 #include "wse/bytecode.hpp"
@@ -35,6 +42,36 @@
 #include "wse/program.hpp"
 
 namespace fvdf::core {
+
+/// Per-PE CG program configuration (identical across PEs except `init`).
+struct CgPeConfig {
+  u32 nz = 1;
+  FluxMode mode = FluxMode::Fused;
+  u64 max_iterations = 10'000; // k_max
+  f32 tolerance = 0.0f;        // epsilon vs the global r^T r (or r^T z for PCG)
+  bool jx_only = false;        // Alg. 2 scaling mode: halo+flux loop only
+  // Extensions over the paper's plain-CG kernel:
+  bool jacobi = false;         // Jacobi (diagonal) preconditioning
+  f32 diagonal_shift = 0.0f;   // adds shift*x to interior rows of Jx — the
+                               // accumulation term of a backward-Euler step
+  PeInit init;                 // this PE's column data
+};
+
+/// Per-PE Chebyshev program configuration (see solver/chebyshev.hpp): the
+/// recurrence coefficients are precomputed scalars every PE evaluates
+/// identically, so the all-reduce runs only for the periodic probe.
+struct ChebyshevPeConfig {
+  u32 nz = 1;
+  FluxMode mode = FluxMode::Fused;
+  u64 max_iterations = 50'000;
+  f32 tolerance = 0.0f;       // epsilon vs the global r^T r at probes
+  u32 check_every = 16;       // iterations between convergence probes
+  f32 lambda_min = 0.0f;      // spectral bounds (host-estimated)
+  f32 lambda_max = 0.0f;
+  f32 divergence_factor = 1e8f;
+  f32 diagonal_shift = 0.0f;  // backward-Euler accumulation term
+  PeInit init;
+};
 
 /// Everything the lowering branches on. Two PEs with equal sites produce
 /// byte-identical programs (given one solver config).
@@ -88,8 +125,6 @@ public:
 
   void on_start(wse::PeContext& ctx) override;
   void on_task(wse::PeContext& ctx, wse::Color color) override;
-  wse::ProgramManifest manifest(wse::PeCoord coord, i64 fabric_width,
-                                i64 fabric_height) const override;
   const wse::bc::Program* bytecode() const override { return program_.get(); }
   wse::bc::VmState* bytecode_state() override { return &vm_; }
 
@@ -111,8 +146,6 @@ public:
 
   void on_start(wse::PeContext& ctx) override;
   void on_task(wse::PeContext& ctx, wse::Color color) override;
-  wse::ProgramManifest manifest(wse::PeCoord coord, i64 fabric_width,
-                                i64 fabric_height) const override;
   const wse::bc::Program* bytecode() const override { return program_.get(); }
   wse::bc::VmState* bytecode_state() override { return &vm_; }
 

@@ -44,9 +44,6 @@ inline constexpr Color kBcastColDone = 28;
 inline constexpr Color kBcastRowDone = 29;
 inline constexpr Color kExchangeDone = 30;
 
-// The CG state machine's own local colors (see core/pe_program).
-inline constexpr Color kCgStep = 31;
-
 // Any-source broadcast completion.
 inline constexpr Color kBcastAnyDone = 32;
 

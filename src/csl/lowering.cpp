@@ -39,9 +39,9 @@ void HaloEmitter::emit_start() {
 }
 
 void HaloEmitter::emit_launch(int step) {
-  // Rebind the done handlers to this step's blocks (the lowered
-  // equivalent of step_), reset the two-action join, then issue the X
-  // and Y actions in the legacy order.
+  // Rebind the done handlers to this step's blocks (the step counter,
+  // resolved statically), reset the two-action join, then issue the X
+  // action before the Y action.
   b_.seth(spec_.colors.done_x, done_x_[step - 1]);
   b_.seth(spec_.colors.done_y, done_y_[step - 1]);
   b_.setu(spec_.pending_ureg, 2);
@@ -253,7 +253,16 @@ void ReduceEmitter::emit_blocks() {
   if (right && coord_.y > 0) {
     b_.recv(odd_y ? c.col_a : c.col_b, in_dsd_, c.col_done);
   }
-  if (right && !bottom) {
+  // The top PE of a 1-wide fabric finishes its row phase inside this
+  // activation and rewrites slot_value (the partial it sends south), so
+  // its broadcast receive into that slot is armed only afterwards: no
+  // write may land in a registered receive buffer (the verifier's
+  // in-flight check). Arming a receive costs no cycles and the broadcast
+  // cannot arrive before this PE's partial leaves, so the order changes
+  // no result.
+  const bool defer_bcast_recv = right && !bottom && coord_.x == 0 &&
+                                coord_.y == 0;
+  if (right && !bottom && !defer_bcast_recv) {
     b_.recv(c.bcast_col, value_dsd_, c.bcast_col_done);
   }
   if (!right) {
@@ -266,6 +275,7 @@ void ReduceEmitter::emit_blocks() {
     } else {
       b_.movr(1, 0);
       emit_row_phase_done_tail();
+      if (defer_bcast_recv) b_.recv(c.bcast_col, value_dsd_, c.bcast_col_done);
       if (coord_.y != 0 || height_ > 1) b_.ret();
     }
   } else {

@@ -2,14 +2,15 @@
 // Bytecode lowerings of the Table-I collectives (docs/simulator.md,
 // "Bytecode ISA").
 //
-// Each emitter writes the flat-instruction equivalent of its component's
-// event-driven callback chain into a wse::bc::Builder. Dynamic state the
-// legacy classes kept in members becomes static code (per-coordinate
-// parity and edge cases are resolved at lowering time) plus a handful of
-// VM registers. Instruction order matches the legacy implementations
-// exactly — the charged DsdEngine calls, the telemetry marks and the
-// fabric sends/recvs come out in the same sequence, which is what makes
-// the interpreter bitwise-identical to the callback path.
+// Each emitter writes its collective's event-driven task chain into a
+// wse::bc::Builder. Per-coordinate parity and edge cases are resolved at
+// lowering time; the remaining dynamic state (step joins, continuations,
+// partial sums) lives in a handful of VM registers. The routes and
+// colors come from the matching component (csl/halo.hpp,
+// csl/allreduce.hpp), configured in the program's on_start. The order of
+// charged DsdEngine calls, telemetry marks and fabric sends/recvs fixes
+// the solvers' results, which the GoldenDigest tests
+// (tests/test_dataflow_solver.cpp) pin bit for bit.
 //
 // Register conventions (shared with core/bytecode_program.cpp):
 //   f0      all-reduce contribution in / fabric total out
@@ -25,12 +26,11 @@
 
 namespace fvdf::csl {
 
-/// Emits the per-face work (flux computation + phase marks) that the
-/// legacy FaceCallback performed; called at lowering time, once per
-/// receive site.
+/// Emits the per-face work (flux computation + phase marks) run when a
+/// face's halo lands; called at lowering time, once per receive site.
 using FaceEmit = std::function<void(wse::bc::Builder&, wse::Dir)>;
 
-/// Lowers one four-step halo exchange (one HaloExchange::start call site).
+/// Lowers one four-step halo exchange (one exchange call site).
 /// A program that runs several distinct exchanges (e.g. the OnTheFly
 /// mobility pass plus the per-iteration column exchange) instantiates one
 /// emitter per call site — each gets its own step/done blocks.
@@ -48,10 +48,9 @@ public:
   HaloEmitter(wse::bc::Builder& b, wse::PeCoord coord, i64 width, i64 height,
               Spec spec);
 
-  /// Emits the inline start sequence — the body of HaloExchange::start:
-  /// the Halo phase mark, the step-1 handler bindings and the step-1
-  /// actions. Execution continues with the caller's next instruction
-  /// (overlapped z-flux, exactly like the legacy control flow).
+  /// Emits the inline start sequence: the Halo phase mark, the step-1
+  /// handler bindings and the step-1 actions. Execution continues with
+  /// the caller's next instruction (the overlapped z-flux).
   void emit_start();
 
   /// Emits the out-of-line done-handler blocks (face work, the join,
@@ -74,7 +73,7 @@ private:
 };
 
 /// Lowers the whole-fabric AllReduce. One emitter serves every
-/// reduce_.start call site in the program: jump to start_label() with the
+/// reduction in the program: jump to start_label() with the
 /// PE's contribution in f0 and a continuation pc in cont_reg; the finish
 /// block loads the fabric total into f0 and JINDs through cont_reg.
 class ReduceEmitter {

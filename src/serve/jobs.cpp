@@ -56,7 +56,12 @@ JobManager::JobManager(std::shared_ptr<ArtifactCache> cache,
   FVDF_CHECK_MSG(cache_ != nullptr, "JobManager requires an ArtifactCache");
   if (config_.workers == 0) config_.workers = 1;
   if (config_.checkpoint_every < 1) config_.checkpoint_every = 1;
-  if (!config_.spool_dir.empty()) fs::create_directories(config_.spool_dir);
+  if (!config_.spool_dir.empty()) {
+    std::error_code ec;
+    fs::create_directories(config_.spool_dir, ec);
+    FVDF_CHECK_MSG(!ec, "cannot create spool directory " << config_.spool_dir
+                                                         << ": " << ec.message());
+  }
   workers_.reserve(config_.workers);
   for (u32 i = 0; i < config_.workers; ++i)
     workers_.emplace_back([this] { worker_loop(); });
@@ -94,18 +99,22 @@ bool JobManager::submit(JobSpec spec, EventSink sink, std::string* error_code) {
     if (draining_) return reject("draining");
     if (live_.count(job->spec.id) != 0) return reject("duplicate_id");
     if (queue_.size() >= config_.queue_capacity) return reject("queue_full");
+    // Spool before admitting: a job whose case text cannot be persisted
+    // would not survive a restart, so it is refused. Under the lock, so a
+    // concurrent submission with the same id cannot clobber the file.
+    if (!config_.spool_dir.empty()) {
+      try {
+        write_file_atomic(spool_case_path(job->spec.id), job->spec.case_text);
+      } catch (const Error&) {
+        return reject("internal");
+      }
+    }
     job->seq = next_seq_++;
     live_.emplace(job->spec.id, job);
     queue_.emplace(std::make_pair(-static_cast<i64>(job->spec.priority),
                                   job->seq),
                    job);
     ++stats_.accepted;
-  }
-
-  if (!config_.spool_dir.empty() && !job->resume_from_spool) {
-    std::ofstream out(spool_case_path(job->spec.id),
-                      std::ios::binary | std::ios::trunc);
-    out << job->spec.case_text;
   }
 
   if (job->sink) {

@@ -517,3 +517,12 @@ std::string disassemble(const Program& program) {
 }
 
 } // namespace fvdf::wse::bc
+
+namespace fvdf::wse {
+
+ProgramManifest PeProgram::manifest(PeCoord, i64, i64) const {
+  const bc::Program* program = bytecode();
+  return program != nullptr ? bc::derive_manifest(*program) : ProgramManifest{};
+}
+
+} // namespace fvdf::wse

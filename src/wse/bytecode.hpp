@@ -3,8 +3,8 @@
 //
 // A PE program's event-driven control flow — the CG/Chebyshev state
 // machines plus the Table-I collectives — is lowered at build time into
-// one flat instruction stream per PE. Every dynamic decision the legacy
-// C++ callback path took per wavelet (which handler, which halo step,
+// one flat instruction stream per PE. Every dynamic decision an
+// event-driven program takes per wavelet (which handler, which halo step,
 // which done-continuation) is either resolved statically at lowering time
 // (coordinate parity, fabric edges, flux mode) or encoded in a handful of
 // VM registers (iteration counter, residuals, pending counts,
@@ -19,9 +19,10 @@
 //
 // Execution model: a task activation on color c starts interpretation at
 // VmState::handler[c] and runs until RET/HALT (or DECRET's early return).
-// Charged instructions call the same DsdEngine entry points the legacy
-// programs called, in the same order — cycle cursors, op counters, event
-// schedules and therefore solver results are bitwise identical.
+// Charged instructions call the DsdEngine entry points one to one, so
+// cycle cursors, op counters and event schedules follow from the stream
+// alone. The GoldenDigest tests (tests/test_dataflow_solver.cpp,
+// tests/golden_digest.hpp) pin the lowered solvers' results bit for bit.
 
 #include <string>
 #include <vector>
@@ -60,8 +61,8 @@ enum class Op : u8 {
   LODS,  // f[a] <- mem[imm.u]                     (DsdEngine::load)
   STOS,  // mem[imm.u] <- f[a]                     (DsdEngine::store)
 
-  // --- uncharged register/host ops (scalar math the legacy programs did
-  // in plain C++ between charged ops) ---
+  // --- uncharged register/host ops (host-side scalar math between
+  // charged ops) ---
   MOVR,  // f[a] <- f[b]
   UMOVI, // f[a] <- imm.f
   UMUL,  // f[a] <- f[b] * f[c]
@@ -73,8 +74,8 @@ enum class Op : u8 {
   UK2F,  // f[a] <- (f32)k
   RSTORE,// mem[imm.u] <- f[a]  (raw PeMemory store, uncharged result write)
 
-  // --- Dirichlet macro-ops (charged per entry exactly like the legacy
-  // flux_kernels loops: 2 byte loads + load/store per pinned row) ---
+  // --- Dirichlet macro-ops (charged per entry: 2 byte loads +
+  // load/store per pinned row) ---
   FIXD,  // for d entries at byte imm.u: dsd[b].mem[z] <- dsd[a].mem[z]
   ZDIR,  // for d entries at byte imm.u: dsd[a].mem[z] <- 0
 
@@ -129,8 +130,8 @@ constexpr u32 kNumURegs = 4;  // u32 counters (halo pending, probe countdown)
 constexpr u32 kNumCRegs = 4;  // continuation program counters
 
 /// Per-PE mutable interpreter state. Persists across task activations —
-/// it *is* the lowered program's version of the legacy classes' member
-/// variables (rr_, k_, pending_, the done callbacks).
+/// it holds what an event-driven program keeps between tasks (residuals,
+/// the iteration counter, pending joins, the done continuations).
 struct VmState {
   std::array<f32, kNumFRegs> f{};
   std::array<u32, kNumURegs> u{};

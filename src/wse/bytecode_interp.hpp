@@ -7,13 +7,15 @@
 // loop against the generic PeContext for recorded (static) execution.
 // One source of truth for instruction semantics, two specializations.
 //
-// Charged instructions map 1:1 onto the DsdEngine calls the legacy C++
-// programs made, in identical order, so cycle cursors, op counters and
-// scheduled events — and therefore solver results — are bitwise equal
-// between the interpreter and the legacy dispatch path.
+// Charged instructions map 1:1 onto DsdEngine calls, so cycle cursors, op
+// counters and scheduled events follow from the instruction stream alone
+// (pinned by the GoldenDigest tests, tests/test_dataflow_solver.cpp).
 
 #include <cstddef>
+#include <functional>
+#include <memory>
 #include <type_traits>
+#include <utility>
 
 #include "common/error.hpp"
 #include "wse/bytecode.hpp"
@@ -145,5 +147,46 @@ void run(Ctx& ctx, VmState& st, const Program& program, u16 pc,
     }
   }
 }
+
+/// A PE program whose task handlers are one instruction stream built at
+/// on_start. `build` runs first, against the real context: it installs
+/// routes, allocates and fills the arena, and returns this PE's Program
+/// (emitters need the coordinate and fabric extents the context carries).
+/// With `start` set the interpreter then enters at the program's entry;
+/// the fabric dispatches every later task activation straight into the
+/// stream. Hand-assembled programs (verifier fixtures, collective tests,
+/// examples) use it; the solvers' programs lower through
+/// core::ProgramCache instead (core/bytecode_program.hpp).
+class BuiltProgram final : public PeProgram {
+public:
+  using Build = std::function<std::shared_ptr<const Program>(PeContext&)>;
+
+  explicit BuiltProgram(Build build, bool start = true)
+      : build_(std::move(build)), start_(start) {}
+
+  void on_start(PeContext& ctx) override {
+    program_ = build_(ctx);
+    FVDF_CHECK_MSG(program_ != nullptr, "BuiltProgram: build returned null");
+    if (start_) run(ctx, vm_, *program_, program_->entry);
+  }
+
+  void on_task(PeContext& ctx, Color color) override {
+    const u16 pc = vm_.handler[color];
+    FVDF_CHECK_MSG(pc != kNoPc, "program \"" << program_->name
+                                              << "\": unexpected task color "
+                                              << static_cast<int>(color));
+    run(ctx, vm_, *program_, pc);
+  }
+
+  const Program* bytecode() const override { return program_.get(); }
+  VmState* bytecode_state() override { return &vm_; }
+  const VmState& vm() const { return vm_; }
+
+private:
+  Build build_;
+  bool start_;
+  std::shared_ptr<const Program> program_;
+  VmState vm_;
+};
 
 } // namespace fvdf::wse::bc

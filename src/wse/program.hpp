@@ -149,22 +149,20 @@ public:
   /// Bytecode-compiled programs expose their flat instruction stream and
   /// interpreter state (see wse/bytecode.hpp) so the fabric can dispatch
   /// task activations straight into the interpreter instead of through
-  /// on_task. nullptr (the default) selects the legacy virtual path.
+  /// on_task. nullptr (the default) marks a hand-written program, whose
+  /// activations go through on_task.
   virtual const bc::Program* bytecode() const { return nullptr; }
   virtual bc::VmState* bytecode_state() { return nullptr; }
 
   /// Static manifest for the verifier, queried *after* on_start has run
-  /// (so it may depend on configuration established there). The default —
-  /// an empty manifest — limits the verifier to what a recorded on_start
-  /// reveals; programs with receives or sends in later task handlers
-  /// should override it (compose the csl components' manifest helpers).
+  /// (so it may depend on configuration established there). The default
+  /// derives it from bytecode() when the program has one (the instruction
+  /// stream is the single source of truth, see bc::derive_manifest) and
+  /// is empty otherwise, which limits the verifier to what a recorded
+  /// on_start reveals; hand-written programs with receives or sends in
+  /// later task handlers should override it.
   virtual ProgramManifest manifest(PeCoord coord, i64 fabric_width,
-                                   i64 fabric_height) const {
-    (void)coord;
-    (void)fabric_width;
-    (void)fabric_height;
-    return {};
-  }
+                                   i64 fabric_height) const;
 };
 
 using ProgramFactory = std::function<std::unique_ptr<PeProgram>(PeCoord)>;

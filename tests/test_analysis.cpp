@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <sstream>
 #include <string>
 
 #include "analysis/abstract_interp.hpp"
@@ -16,8 +15,6 @@
 #include "analysis/verifier.hpp"
 #include "common/error.hpp"
 #include "core/bytecode_program.hpp"
-#include "core/chebyshev_program.hpp"
-#include "core/pe_program.hpp"
 #include "core/solver.hpp"
 #include "fv/operator.hpp"
 #include "fv/problem.hpp"
@@ -277,27 +274,6 @@ core::LoweringSite site_at(wse::PeCoord coord, i64 w, i64 h, u32 nz) {
                          /*jacobi=*/false, /*with_source=*/false);
 }
 
-// The wavelet-bearing facts (injections, switch advances, message widths)
-// must agree exactly — they drive route checks and the lookahead planner.
-// Handler/activation sets only need containment: the hand-written legacy
-// manifests declare every completion color a collective could ever bind,
-// whereas the instruction stream knows which ones this site actually does
-// (a 1x1 fabric, say, never binds the row-neighbor join colors).
-void expect_manifest_matches(const wse::ProgramManifest& derived,
-                             const wse::ProgramManifest& legacy,
-                             const std::string& where) {
-  EXPECT_EQ(derived.injects, legacy.injects) << where;
-  EXPECT_EQ(derived.advances, legacy.advances) << where;
-  EXPECT_EQ(derived.handles & ~legacy.handles, 0u) << where;
-  EXPECT_EQ(derived.activates & ~legacy.activates, 0u) << where;
-  for (wse::Color c = 0; c < wse::kNumRoutableColors; ++c) {
-    if (wse::color_set_contains(legacy.injects, c)) {
-      EXPECT_EQ(derived.min_inject_words[c], legacy.min_inject_words[c])
-          << where << " color " << static_cast<int>(c);
-    }
-  }
-}
-
 TEST(BytecodeStatic, LoweredProgramsLintCleanOnAllShapes) {
   constexpr u32 nz = 5;
   const auto cg = cg_config(nz);
@@ -316,42 +292,6 @@ TEST(BytecodeStatic, LoweredProgramsLintCleanOnAllShapes) {
           << w << "x" << h << " chebyshev: " << cheb_issues.front();
     }
   }
-}
-
-// The derived manifest is what the verifier and the lookahead planner
-// consume; it must agree with the hand-written legacy manifests at every
-// PE of every shape, including the declared minimum message widths.
-TEST(BytecodeStatic, DerivedCgManifestMatchesLegacy) {
-  constexpr u32 nz = 4;
-  const auto config = cg_config(nz);
-  const core::CgPeProgram legacy(config);
-  for (const auto [w, h] : kShapes)
-    for (i64 y = 0; y < h; ++y)
-      for (i64 x = 0; x < w; ++x) {
-        const auto site = site_at({x, y}, w, h, nz);
-        const auto derived = bc::derive_manifest(*core::lower_cg(config, site));
-        std::ostringstream where;
-        where << "PE (" << x << ", " << y << ") on " << w << "x" << h;
-        expect_manifest_matches(derived, legacy.manifest({x, y}, w, h),
-                                where.str());
-      }
-}
-
-TEST(BytecodeStatic, DerivedChebyshevManifestMatchesLegacy) {
-  constexpr u32 nz = 4;
-  const auto config = chebyshev_config(nz);
-  const core::ChebyshevPeProgram legacy(config);
-  for (const auto [w, h] : kShapes)
-    for (i64 y = 0; y < h; ++y)
-      for (i64 x = 0; x < w; ++x) {
-        const auto site = site_at({x, y}, w, h, nz);
-        const auto derived =
-            bc::derive_manifest(*core::lower_chebyshev(config, site));
-        std::ostringstream where;
-        where << "PE (" << x << ", " << y << ") on " << w << "x" << h;
-        expect_manifest_matches(derived, legacy.manifest({x, y}, w, h),
-                                where.str());
-      }
 }
 
 TEST(BytecodeStatic, DisassemblyListsEveryInstruction) {
@@ -681,7 +621,7 @@ TEST(BytecodeDeep, BalanceSummariesCoverEveryTrafficColor) {
 
 // ---------- bytecode-derived lookahead windows ----------
 
-TEST(BytecodeLookahead, WindowsNoLooserThanManifestDerived) {
+TEST(BytecodeLookahead, WindowsCarryPositiveBatchFloors) {
   const auto problem = FlowProblem::quarter_five_spot(8, 8, 4, /*seed=*/3, 0.8);
   core::DataflowConfig config;
   config.sim_threads = 4;
@@ -689,20 +629,13 @@ TEST(BytecodeLookahead, WindowsNoLooserThanManifestDerived) {
   ASSERT_GT(plan.shard_count, 1u);
   ASSERT_EQ(plan.tile_rows * plan.tile_cols, plan.shard_count);
   ASSERT_EQ(plan.bytecode.out.size(), plan.shard_count);
-  ASSERT_EQ(plan.manifest.out.size(), plan.shard_count);
+  // The reachable SENDs carry whole columns, so some crossing boundary
+  // must get a nonzero link-batch floor.
   bool positive_floor = false;
   for (u32 s = 0; s < plan.shard_count; ++s)
     for (std::size_t d = 0; d < 4; ++d) {
-      const auto& bcode = plan.bytecode.out[s][d];
-      const auto& man = plan.manifest.out[s][d];
-      // Tighter or equal: bytecode may prove a boundary silent or raise
-      // the batch floor, never the reverse.
-      EXPECT_TRUE(man.crosses || !bcode.crosses)
-          << "shard " << s << " side " << d;
-      if (bcode.crosses && man.crosses)
-        EXPECT_GE(bcode.min_batch_cycles, man.min_batch_cycles)
-            << "shard " << s << " side " << d;
-      positive_floor |= bcode.crosses && bcode.min_batch_cycles > 0;
+      const auto& edge = plan.bytecode.out[s][d];
+      positive_floor |= edge.crosses && edge.min_batch_cycles > 0;
     }
   EXPECT_TRUE(positive_floor);
 }

@@ -9,10 +9,9 @@
 #include <map>
 #include <vector>
 
-#include "csl/allreduce.hpp"
+#include "collective_programs.hpp"
 #include "csl/broadcast.hpp"
 #include "csl/colors.hpp"
-#include "csl/halo.hpp"
 #include "wse/fabric.hpp"
 
 namespace fvdf::csl {
@@ -26,84 +25,13 @@ using wse::MemSpan;
 using wse::PeContext;
 using wse::PeCoord;
 using wse::PeProgram;
-
-// Each PE's column value is a unique fingerprint: f(x, y, z) = x*10000 +
-// y*100 + z, so any misdelivery is detectable.
-f32 fingerprint(i64 x, i64 y, u32 z) {
-  return static_cast<f32>(x * 10000 + y * 100 + static_cast<i64>(z));
-}
+using namespace collective_test;
 
 // ---------- HaloExchange ----------
-
-class HaloTestProgram final : public PeProgram {
-public:
-  HaloTestProgram(u32 nz, int rounds) : nz_(nz), rounds_(rounds) {}
-
-  void on_start(PeContext& ctx) override {
-    halo_.configure(ctx);
-    column_ = ctx.memory().alloc_f32("column", nz_);
-    for (u32 z = 0; z < nz_; ++z)
-      ctx.memory().store(column_.offset_words + z,
-                         fingerprint(ctx.coord().x, ctx.coord().y, z));
-    for (auto& buf : halos_) {
-      buf = ctx.memory().alloc_f32("halo", nz_);
-      for (u32 z = 0; z < nz_; ++z)
-        ctx.memory().store(buf.offset_words + z, -1.0f); // sentinel
-    }
-    run_round(ctx);
-  }
-
-  void on_task(PeContext& ctx, wse::Color color) override {
-    ASSERT_TRUE(halo_.handles(color));
-    halo_.on_task(ctx, color);
-  }
-
-  int faces_received = 0;
-
-private:
-  void run_round(PeContext& ctx) {
-    halo_.start(
-        ctx, dsd(column_), dsd(halos_[0]), dsd(halos_[1]), dsd(halos_[2]),
-        dsd(halos_[3]),
-        [this](PeContext&, Dir) { ++faces_received; },
-        [this](PeContext& c) {
-          verify(c);
-          if (--rounds_ > 0) {
-            run_round(c);
-          } else {
-            c.halt();
-          }
-        });
-  }
-
-  void verify(PeContext& ctx) {
-    const i64 x = ctx.coord().x;
-    const i64 y = ctx.coord().y;
-    const i64 width = ctx.fabric_width();
-    const i64 height = ctx.fabric_height();
-    auto check = [&](const MemSpan& buf, i64 nx, i64 ny, bool exists) {
-      for (u32 z = 0; z < nz_; ++z) {
-        const f32 got = ctx.memory().load(buf.offset_words + z);
-        if (exists) {
-          EXPECT_FLOAT_EQ(got, fingerprint(nx, ny, z))
-              << "PE(" << x << "," << y << ") z=" << z;
-        } else {
-          EXPECT_FLOAT_EQ(got, -1.0f) << "boundary halo must stay untouched";
-        }
-      }
-    };
-    check(halos_[0], x - 1, y, x > 0);          // west neighbor
-    check(halos_[1], x + 1, y, x < width - 1);  // east neighbor
-    check(halos_[2], x, y + 1, y < height - 1); // fabric south = y+1
-    check(halos_[3], x, y - 1, y > 0);          // fabric north = y-1
-  }
-
-  u32 nz_;
-  int rounds_;
-  HaloExchange halo_;
-  MemSpan column_{};
-  std::array<MemSpan, 4> halos_{};
-};
+//
+// The exchange runs as bytecode emitted by csl::HaloEmitter around the
+// routes csl::HaloExchange installs, exactly as the solvers use it
+// (tests/collective_programs.hpp).
 
 struct FabricShape {
   i64 width, height;
@@ -114,9 +42,7 @@ class HaloShapes : public ::testing::TestWithParam<FabricShape> {};
 TEST_P(HaloShapes, DeliversAllFourNeighborColumns) {
   const auto [width, height] = GetParam();
   Fabric fabric(width, height);
-  fabric.load([&](PeCoord) { return std::make_unique<HaloTestProgram>(6, 1); });
-  const auto result = fabric.run();
-  EXPECT_TRUE(result.all_halted);
+  verify_halos(fabric, run_halo_test(fabric, 6, 1), 6);
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, HaloShapes,
@@ -131,8 +57,7 @@ TEST(HaloExchange, SwitchPositionsReturnToInitialAfterEachRound) {
   // Ring mode + the advance protocol must restore every router; three
   // consecutive rounds would fail otherwise.
   Fabric fabric(4, 3);
-  fabric.load([&](PeCoord) { return std::make_unique<HaloTestProgram>(3, 3); });
-  EXPECT_TRUE(fabric.run().all_halted);
+  verify_halos(fabric, run_halo_test(fabric, 3, 3), 3);
   for (i64 y = 0; y < 3; ++y)
     for (i64 x = 0; x < 4; ++x)
       for (wse::Color c : {kHaloC1, kHaloC2, kHaloC3, kHaloC4})
@@ -142,25 +67,22 @@ TEST(HaloExchange, SwitchPositionsReturnToInitialAfterEachRound) {
 
 TEST(HaloExchange, FaceCallbackFiresPerReceivedFace) {
   Fabric fabric(3, 3);
-  std::map<std::pair<i64, i64>, HaloTestProgram*> programs;
-  fabric.load([&](PeCoord coord) {
-    auto program = std::make_unique<HaloTestProgram>(2, 1);
-    programs[{coord.x, coord.y}] = program.get();
-    return program;
-  });
-  EXPECT_TRUE(fabric.run().all_halted);
+  std::vector<PeProgram*> programs; // row-major
+  verify_halos(fabric, run_halo_test(fabric, 2, 1, &programs), 2);
+  auto faces = [&](i64 x, i64 y) {
+    return programs[static_cast<std::size_t>(y * 3 + x)]->bytecode_state()->k;
+  };
   // Center PE has 4 neighbors, corner has 2, edge-middle has 3.
-  EXPECT_EQ((programs[std::make_pair<i64, i64>(1, 1)]->faces_received), 4);
-  EXPECT_EQ((programs[std::make_pair<i64, i64>(0, 0)]->faces_received), 2);
-  EXPECT_EQ((programs[std::make_pair<i64, i64>(1, 0)]->faces_received), 3);
+  EXPECT_EQ(faces(1, 1), 4u);
+  EXPECT_EQ(faces(0, 0), 2u);
+  EXPECT_EQ(faces(1, 0), 3u);
 }
 
 TEST(HaloExchange, TrafficMatchesFourColumnSendsPerInteriorPe) {
   const i64 width = 4, height = 4;
   const u32 nz = 8;
   Fabric fabric(width, height);
-  fabric.load([&](PeCoord) { return std::make_unique<HaloTestProgram>(nz, 1); });
-  EXPECT_TRUE(fabric.run().all_halted);
+  run_halo_test(fabric, nz, 1);
   // Every PE sends its column 4 times (one per step); edge sends drop.
   const u64 expected_injected = static_cast<u64>(width * height) * 4 * nz;
   EXPECT_EQ(fabric.stats().words_delivered + fabric.stats().words_dropped,
@@ -168,54 +90,22 @@ TEST(HaloExchange, TrafficMatchesFourColumnSendsPerInteriorPe) {
 }
 
 // ---------- AllReduce ----------
-
-class AllReduceTestProgram final : public PeProgram {
-public:
-  AllReduceTestProgram(f32 value, int rounds, std::vector<f32>* sink)
-      : value_(value), rounds_(rounds), sink_(sink) {}
-
-  void on_start(PeContext& ctx) override {
-    reduce_.configure(ctx);
-    start_round(ctx);
-  }
-
-  void on_task(PeContext& ctx, wse::Color color) override {
-    ASSERT_TRUE(reduce_.handles(color));
-    reduce_.on_task(ctx, color);
-  }
-
-private:
-  void start_round(PeContext& ctx) {
-    reduce_.start(ctx, value_, [this](PeContext& c, f32 total) {
-      sink_->push_back(total);
-      value_ += 1.0f; // change the contribution between rounds
-      if (--rounds_ > 0) {
-        start_round(c);
-      } else {
-        c.halt();
-      }
-    });
-  }
-
-  f32 value_;
-  int rounds_;
-  std::vector<f32>* sink_;
-  AllReduce reduce_;
-};
+//
+// The reduction runs as bytecode emitted by csl::ReduceEmitter around the
+// routes and slots csl::AllReduce configures
+// (tests/collective_programs.hpp).
 
 class AllReduceShapes : public ::testing::TestWithParam<FabricShape> {};
 
 TEST_P(AllReduceShapes, SumsEveryPeContribution) {
   const auto [width, height] = GetParam();
   Fabric fabric(width, height);
-  std::vector<f32> results;
   f64 expected = 0;
-  fabric.load([&](PeCoord coord) {
+  const std::vector<f32> results = run_reduce_test(fabric, 1, [&](PeCoord coord) {
     const f32 value = static_cast<f32>(coord.x + 10 * coord.y + 1);
     expected += value;
-    return std::make_unique<AllReduceTestProgram>(value, 1, &results);
+    return value;
   });
-  ASSERT_TRUE(fabric.run().all_halted);
   ASSERT_EQ(results.size(), static_cast<std::size_t>(width * height));
   for (f32 total : results) EXPECT_FLOAT_EQ(total, static_cast<f32>(expected));
 }
@@ -231,11 +121,8 @@ INSTANTIATE_TEST_SUITE_P(Shapes, AllReduceShapes,
 TEST(AllReduce, BackToBackRoundsProduceFreshSums) {
   const i64 width = 4, height = 3;
   Fabric fabric(width, height);
-  std::vector<f32> results;
-  fabric.load([&](PeCoord) {
-    return std::make_unique<AllReduceTestProgram>(1.0f, 3, &results);
-  });
-  ASSERT_TRUE(fabric.run().all_halted);
+  const std::vector<f32> results =
+      run_reduce_test(fabric, 3, [](PeCoord) { return 1.0f; });
   const auto pes = static_cast<std::size_t>(width * height);
   ASSERT_EQ(results.size(), 3 * pes);
   // Round k contributes (1 + k) per PE.
@@ -248,15 +135,13 @@ TEST(AllReduce, BackToBackRoundsProduceFreshSums) {
 
 TEST(AllReduce, HandlesNegativeAndFractionalValues) {
   Fabric fabric(3, 3);
-  std::vector<f32> results;
   f64 expected = 0;
-  fabric.load([&](PeCoord coord) {
+  const std::vector<f32> results = run_reduce_test(fabric, 1, [&](PeCoord coord) {
     const f32 value = 0.25f * static_cast<f32>(coord.x) -
                       0.75f * static_cast<f32>(coord.y);
     expected += value;
-    return std::make_unique<AllReduceTestProgram>(value, 1, &results);
+    return value;
   });
-  ASSERT_TRUE(fabric.run().all_halted);
   for (f32 total : results)
     EXPECT_NEAR(total, expected, 1e-5) << "fp32 chain reduction";
 }

@@ -134,9 +134,8 @@ TEST(DataflowSolver, ReportsFabricTraffic) {
 // Every kernel configuration, fabric shape, thread count and column depth
 // below is pinned to a golden digest (tests/golden_digest.hpp): solution
 // bytes, iteration count, cycle count, fabric statistics, op ledger,
-// residual history and Table-II phase cycles. The constants were recorded
-// with both device-program implementations running each case and agreeing
-// bit for bit. Never edit one to make a test pass.
+// residual history and Table-II phase cycles. Never edit one to make a
+// test pass.
 
 constexpr golden::Digest kCgFused{0x37e2c2ce76736eecull, 0x9124485b2e082ac0ull};
 constexpr golden::Digest kCgOnTheFly{0x2423c3527980b977ull, 0x688e660d606ff976ull};
@@ -153,20 +152,9 @@ constexpr golden::Digest kDeepCgFused{0x3198225c94bd7df4ull, 0x77abbb4e3980411cu
 constexpr golden::Digest kDeepJacobiShift{0x2678a5c33994d028ull, 0xfac343818d03bfe8ull};
 constexpr golden::Digest kDeepOnTheFly{0x6b7d076199e39389ull, 0x81887412d33fe34aull};
 
-void expect_same_solve(const golden::Solve& a, const golden::Solve& b) {
-  const golden::Digest da = golden::digest(a), db = golden::digest(b);
-  EXPECT_EQ(da.result, db.result);
-  EXPECT_EQ(da.telemetry, db.telemetry);
-}
-
-void expect_golden(const FlowProblem& problem, DataflowConfig config,
+void expect_golden(const FlowProblem& problem, const DataflowConfig& config,
                    const golden::Digest& want, const std::string& label) {
-  config.engine = SimEngine::Bytecode;
-  const golden::Solve bytecode = golden::solve_cg(problem, config);
-  config.engine = SimEngine::Legacy;
-  const golden::Solve legacy = golden::solve_cg(problem, config);
-  expect_same_solve(bytecode, legacy);
-  golden::expect_digest(bytecode, want, label);
+  golden::expect_digest(golden::solve_cg(problem, config), want, label);
 }
 
 TEST(GoldenDigest, CgFused) {
@@ -222,12 +210,8 @@ TEST(GoldenDigest, Chebyshev) {
   config.tolerance = 1e-8f;
   config.max_iterations = 2000;
   config.check_every = 8;
-  config.engine = SimEngine::Bytecode;
-  const golden::Solve bytecode = golden::solve_chebyshev(problem, config);
-  config.engine = SimEngine::Legacy;
-  const golden::Solve legacy = golden::solve_chebyshev(problem, config);
-  expect_same_solve(bytecode, legacy);
-  golden::expect_digest(bytecode, kChebyshev, "chebyshev");
+  golden::expect_digest(golden::solve_chebyshev(problem, config), kChebyshev,
+                        "chebyshev");
 }
 
 // sim_threads is a host-side knob: one digest at every thread count.
@@ -271,18 +255,15 @@ TEST(GoldenDigest, DeepColumnOnTheFly) {
 }
 
 // The preflight verifier consumes the bytecode manifest (derived from the
-// instruction stream); a full verified solve must pass on both engines.
-TEST(DataflowSolver, VerifyPreflightPassesOnBothEngines) {
+// instruction stream); a full verified solve must pass.
+TEST(DataflowSolver, VerifyPreflightPasses) {
   const auto problem = FlowProblem::quarter_five_spot(3, 3, 4, /*seed=*/5);
-  for (SimEngine engine : {SimEngine::Bytecode, SimEngine::Legacy}) {
-    DataflowConfig config = tight_config();
-    config.engine = engine;
-    config.verify_preflight = true;
-    const auto result = solve_dataflow(problem, config);
-    EXPECT_TRUE(result.converged);
-    const auto report = verify_dataflow(problem, config);
-    EXPECT_TRUE(report.ok()) << report.summary();
-  }
+  DataflowConfig config = tight_config();
+  config.verify_preflight = true;
+  const auto result = solve_dataflow(problem, config);
+  EXPECT_TRUE(result.converged);
+  const auto report = verify_dataflow(problem, config);
+  EXPECT_TRUE(report.ok()) << report.summary();
 }
 
 } // namespace

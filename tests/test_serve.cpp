@@ -8,6 +8,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <filesystem>
+#include <fstream>
 #include <mutex>
 #include <sstream>
 #include <thread>
@@ -387,6 +388,36 @@ TEST(ServeJobs, DeadlineExpiresLongTransientRuns) {
   const JsonValue error = log.await("deadline", "error");
   EXPECT_EQ(error.get_string("code", ""), "deadline");
   jobs.wait_idle();
+}
+
+// A job whose case text cannot be spooled is refused with a documented
+// error code, not admitted unrecoverable. The spool directory is replaced
+// by a regular file after startup, so the open fails even as root.
+TEST(ServeJobs, UnwritableSpoolRejectsTheJob) {
+  const auto spool = std::filesystem::temp_directory_path() /
+                     ("fvdf_serve_bad_spool_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(spool);
+  auto cache = std::make_shared<ArtifactCache>(4);
+  JobManagerConfig config;
+  config.workers = 1;
+  config.spool_dir = spool.string();
+  JobManager jobs(cache, config);
+  std::filesystem::remove_all(spool);
+  std::ofstream(spool) << "not a directory";
+
+  EventLog log;
+  JobSpec spec;
+  spec.id = "unspoolable";
+  spec.case_text = kBaseCase;
+  std::string code;
+  EXPECT_FALSE(jobs.submit(std::move(spec), log.sink(), &code));
+  EXPECT_EQ(code, "internal");
+  EXPECT_EQ(jobs.stats().rejected, 1u);
+  EXPECT_EQ(jobs.stats().accepted, 0u);
+  // A spool path that is a regular file at startup is a documented
+  // fvdf::Error, not an uncaught filesystem exception.
+  EXPECT_THROW((JobManager{cache, config}), Error);
+  std::filesystem::remove(spool);
 }
 
 TEST(ServeJobs, RestartFromSpoolResumesBitwiseIdentical) {

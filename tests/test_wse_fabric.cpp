@@ -9,12 +9,8 @@
 #include <utility>
 #include <vector>
 
+#include "collective_programs.hpp"
 #include "common/error.hpp"
-#include "csl/allreduce.hpp"
-#include "csl/halo.hpp"
-#include "csl/lowering.hpp"
-#include "wse/bytecode.hpp"
-#include "wse/bytecode_interp.hpp"
 #include "wse/fabric.hpp"
 
 namespace fvdf::wse {
@@ -531,262 +527,40 @@ TEST(Fabric, LargerMessagesTakeLongerOnTheLink) {
   EXPECT_GT(timed_transfer(256), timed_transfer(8));
 }
 
-// --- bytecode collective parity -------------------------------------------
-// The lowered Table-I collectives (csl/lowering.hpp) must be bit-exact
-// drop-ins for the legacy callback implementations: same memory contents,
-// same fabric statistics (message counts, hops, task activations), same
-// cycle totals, on every fabric shape. Each pair below runs one fabric
-// with the legacy component and one with a hand-built bytecode program
-// around the corresponding emitter.
+// --- bytecode collectives ---------------------------------------------------
+// The lowered Table-I collectives (csl/lowering.hpp) must deliver the
+// right values on every fabric shape: every halo holds its neighbor's
+// column (boundary halos untouched), every PE ends the all-reduce with
+// the fabric total. The programs are tests/collective_programs.hpp's.
 
-f32 cell_fingerprint(i64 x, i64 y, u32 z) {
-  return static_cast<f32>(x * 10000 + y * 100 + static_cast<i64>(z));
-}
-
-// One four-step halo exchange, then halt (legacy side).
-class LegacyHaloProgram final : public PeProgram {
-public:
-  explicit LegacyHaloProgram(u32 nz) : nz_(nz) {}
-
-  MemSpan column{}, west{}, east{}, south{}, north{};
-
-  void on_start(PeContext& ctx) override {
-    halo_.configure(ctx);
-    alloc_and_fill(ctx, *this, nz_);
-    halo_.start(
-        ctx, dsd(column), dsd(west), dsd(east), dsd(south), dsd(north),
-        [](PeContext&, Dir) {}, [](PeContext& c) { c.halt(); });
-  }
-  void on_task(PeContext& ctx, Color color) override { halo_.on_task(ctx, color); }
-
-  template <typename P> static void alloc_and_fill(PeContext& ctx, P& p, u32 nz) {
-    p.column = ctx.memory().alloc_f32("column", nz);
-    for (u32 z = 0; z < nz; ++z)
-      ctx.memory().store(p.column.offset_words + z,
-                         cell_fingerprint(ctx.coord().x, ctx.coord().y, z));
-    for (MemSpan* buf : {&p.west, &p.east, &p.south, &p.north}) {
-      *buf = ctx.memory().alloc_f32("halo", nz);
-      for (u32 z = 0; z < nz; ++z)
-        ctx.memory().store(buf->offset_words + z, -1.0f);
-    }
-  }
-
-private:
-  u32 nz_;
-  csl::HaloExchange halo_;
-};
-
-// The same exchange lowered through csl::HaloEmitter.
-class BytecodeHaloProgram final : public PeProgram {
-public:
-  explicit BytecodeHaloProgram(u32 nz) : nz_(nz) {}
-
-  MemSpan column{}, west{}, east{}, south{}, north{};
-
-  void on_start(PeContext& ctx) override {
-    halo_.configure(ctx); // identical router setup to the legacy component
-    LegacyHaloProgram::alloc_and_fill(ctx, *this, nz_);
-
-    bc::Builder b("halo-test");
-    csl::HaloEmitter::Spec spec;
-    spec.column = dsd(column);
-    spec.west = dsd(west);
-    spec.east = dsd(east);
-    spec.south = dsd(south);
-    spec.north = dsd(north);
-    spec.cont_reg = 0;
-    spec.pending_ureg = 0;
-    csl::HaloEmitter halo(b, ctx.coord(), ctx.fabric_width(), ctx.fabric_height(),
-                          std::move(spec));
-    const auto entry = b.make_label();
-    const auto done = b.make_label();
-    b.bind(entry);
-    b.setc(0, done);
-    halo.emit_start();
-    b.ret(); // start falls through, like the legacy overlapped control flow
-    b.bind(done);
-    b.halt();
-    b.ret(); // HALT records the halt but does not stop interpretation
-    halo.emit_handlers();
-    b.set_entry(entry);
-    program_ = std::make_shared<bc::Program>(b.finish());
-    EXPECT_TRUE(bc::lint_program(*program_).empty());
-    bc::run(ctx, vm_, *program_, program_->entry);
-  }
-  void on_task(PeContext& ctx, Color color) override {
-    const u16 pc = vm_.handler[color];
-    ASSERT_NE(pc, bc::kNoPc);
-    bc::run(ctx, vm_, *program_, pc);
-  }
-  const bc::Program* bytecode() const override { return program_.get(); }
-  bc::VmState* bytecode_state() override { return &vm_; }
-
-private:
-  u32 nz_;
-  csl::HaloExchange halo_; // router configuration only
-  std::shared_ptr<bc::Program> program_;
-  bc::VmState vm_;
-};
-
-TEST(BytecodeCollectives, HaloExchangeMatchesLegacyBitwise) {
+TEST(BytecodeCollectives, HaloExchangeDeliversNeighborColumns) {
   constexpr u32 nz = 6;
   constexpr std::pair<i64, i64> kShapes[] = {{1, 1}, {2, 2}, {4, 3},
                                              {3, 4}, {5, 1}, {1, 5}};
   for (const auto& [width, height] : kShapes) {
-    Fabric legacy_fabric(width, height);
-    std::vector<LegacyHaloProgram*> legacy_pes;
-    legacy_fabric.load([&](PeCoord) {
-      auto p = std::make_unique<LegacyHaloProgram>(nz);
-      legacy_pes.push_back(p.get());
-      return p;
-    });
-    const auto legacy_run = legacy_fabric.run();
-    ASSERT_TRUE(legacy_run.all_halted);
-
-    Fabric bc_fabric(width, height);
-    std::vector<BytecodeHaloProgram*> bc_pes;
-    bc_fabric.load([&](PeCoord) {
-      auto p = std::make_unique<BytecodeHaloProgram>(nz);
-      bc_pes.push_back(p.get());
-      return p;
-    });
-    const auto bc_run = bc_fabric.run();
-    ASSERT_TRUE(bc_run.all_halted) << width << "x" << height;
-
-    EXPECT_EQ(bc_run.cycles, legacy_run.cycles) << width << "x" << height;
-    EXPECT_EQ(bc_fabric.stats(), legacy_fabric.stats()) << width << "x" << height;
-
-    // Every word of every buffer — column untouched, halos bit-identical.
-    ASSERT_EQ(bc_pes.size(), legacy_pes.size());
-    for (i64 y = 0; y < height; ++y) {
-      for (i64 x = 0; x < width; ++x) {
-        const std::size_t i = static_cast<std::size_t>(y * width + x);
-        PeMemory& bm = bc_fabric.pe_memory(x, y);
-        PeMemory& lm = legacy_fabric.pe_memory(x, y);
-        for (const MemSpan* span :
-             {&bc_pes[i]->column, &bc_pes[i]->west, &bc_pes[i]->east,
-              &bc_pes[i]->south, &bc_pes[i]->north}) {
-          for (u32 z = 0; z < nz; ++z)
-            EXPECT_EQ(bm.load(span->offset_words + z), lm.load(span->offset_words + z))
-                << "PE(" << x << "," << y << ") word " << z;
-        }
-      }
-    }
+    Fabric fabric(width, height);
+    csl::collective_test::verify_halos(
+        fabric, csl::collective_test::run_halo_test(fabric, nz, 1), nz);
+    // Every PE sends its column once per step; edge sends drop.
+    EXPECT_EQ(fabric.stats().words_delivered + fabric.stats().words_dropped,
+              static_cast<u64>(width * height) * 4 * nz)
+        << width << "x" << height;
   }
 }
 
-// Whole-fabric all-reduce, one round, result stored to a known slot.
-class LegacyReduceProgram final : public PeProgram {
-public:
-  explicit LegacyReduceProgram(f32 value) : value_(value) {}
-
-  MemSpan result{};
-
-  void on_start(PeContext& ctx) override {
-    reduce_.configure(ctx);
-    result = ctx.memory().alloc_f32("result", 1);
-    reduce_.start(ctx, value_, [this](PeContext& c, f32 total) {
-      c.memory().store(result.offset_words, total);
-      c.halt();
-    });
-  }
-  void on_task(PeContext& ctx, Color color) override { reduce_.on_task(ctx, color); }
-
-private:
-  f32 value_;
-  csl::AllReduce reduce_;
-};
-
-class BytecodeReduceProgram final : public PeProgram {
-public:
-  explicit BytecodeReduceProgram(f32 value) : value_(value) {}
-
-  MemSpan result{};
-
-  void on_start(PeContext& ctx) override {
-    reduce_.configure(ctx); // allocates the value/in slots + routes
-    result = ctx.memory().alloc_f32("result", 1);
-
-    bc::Builder b("reduce-test");
-    csl::ReduceEmitter::Spec spec;
-    spec.slot_value = reduce_.slot_value().offset_words;
-    spec.slot_in = reduce_.slot_in().offset_words;
-    spec.cont_reg = 1;
-    csl::ReduceEmitter reduce(b, ctx.coord(), ctx.fabric_width(),
-                              ctx.fabric_height(), spec);
-    const auto entry = b.make_label();
-    const auto after = b.make_label();
-    b.bind(entry);
-    reduce.emit_handler_bindings();
-    b.umovi(0, value_); // contribution in f0
-    b.setc(1, after);
-    b.jmp(reduce.start_label());
-    b.bind(after); // fabric total back in f0
-    b.rstore(0, result.offset_words);
-    b.halt();
-    b.ret(); // HALT records the halt but does not stop interpretation
-    reduce.emit_blocks();
-    b.set_entry(entry);
-    program_ = std::make_shared<bc::Program>(b.finish());
-    EXPECT_TRUE(bc::lint_program(*program_).empty());
-    bc::run(ctx, vm_, *program_, program_->entry);
-  }
-  void on_task(PeContext& ctx, Color color) override {
-    const u16 pc = vm_.handler[color];
-    ASSERT_NE(pc, bc::kNoPc);
-    bc::run(ctx, vm_, *program_, pc);
-  }
-  const bc::Program* bytecode() const override { return program_.get(); }
-  bc::VmState* bytecode_state() override { return &vm_; }
-
-private:
-  f32 value_;
-  csl::AllReduce reduce_; // slot allocation + router configuration
-  std::shared_ptr<bc::Program> program_;
-  bc::VmState vm_;
-};
-
-TEST(BytecodeCollectives, AllReduceMatchesLegacyBitwise) {
+TEST(BytecodeCollectives, AllReduceLeavesTheTotalOnEveryPe) {
   constexpr std::pair<i64, i64> kShapes[] = {{1, 1}, {2, 1}, {1, 3},
                                              {3, 2}, {4, 4}, {5, 3}};
   for (const auto& [width, height] : kShapes) {
     auto value_of = [](PeCoord c) {
       return 0.25f * static_cast<f32>(c.x) - 0.75f * static_cast<f32>(c.y) + 1.0f;
     };
-
-    Fabric legacy_fabric(width, height);
-    std::vector<LegacyReduceProgram*> legacy_pes;
-    legacy_fabric.load([&](PeCoord c) {
-      auto p = std::make_unique<LegacyReduceProgram>(value_of(c));
-      legacy_pes.push_back(p.get());
-      return p;
-    });
-    const auto legacy_run = legacy_fabric.run();
-    ASSERT_TRUE(legacy_run.all_halted);
-
-    Fabric bc_fabric(width, height);
-    std::vector<BytecodeReduceProgram*> bc_pes;
-    bc_fabric.load([&](PeCoord c) {
-      auto p = std::make_unique<BytecodeReduceProgram>(value_of(c));
-      bc_pes.push_back(p.get());
-      return p;
-    });
-    const auto bc_run = bc_fabric.run();
-    ASSERT_TRUE(bc_run.all_halted) << width << "x" << height;
-
-    EXPECT_EQ(bc_run.cycles, legacy_run.cycles) << width << "x" << height;
-    EXPECT_EQ(bc_fabric.stats(), legacy_fabric.stats()) << width << "x" << height;
-    for (i64 y = 0; y < height; ++y) {
-      for (i64 x = 0; x < width; ++x) {
-        const std::size_t i = static_cast<std::size_t>(y * width + x);
-        const f32 bc_total =
-            bc_fabric.pe_memory(x, y).load(bc_pes[i]->result.offset_words);
-        const f32 legacy_total =
-            legacy_fabric.pe_memory(x, y).load(legacy_pes[i]->result.offset_words);
-        EXPECT_EQ(bc_total, legacy_total) << "PE(" << x << "," << y << ")";
-        EXPECT_NE(bc_total, 0.0f); // the reduction actually ran
-      }
-    }
+    f64 expected = 0;
+    for (i64 y = 0; y < height; ++y)
+      for (i64 x = 0; x < width; ++x) expected += value_of(PeCoord{x, y});
+    Fabric fabric(width, height);
+    for (f32 total : csl::collective_test::run_reduce_test(fabric, 1, value_of))
+      EXPECT_NEAR(total, expected, 1e-5) << width << "x" << height;
   }
 }
 

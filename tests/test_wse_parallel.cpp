@@ -307,12 +307,10 @@ TEST(ParallelFabric, PartitionNeverCreatesEmptyShards) {
 // not just any thread count. The (t, emitting PE, emission index) event
 // order plus sound per-boundary horizons make the round schedule's shape
 // invisible. Every layout and thread count must reproduce one golden
-// digest (tests/golden_digest.hpp), recorded with both device-program
-// implementations in agreement. Never edit it to make the test pass.
+// digest (tests/golden_digest.hpp). Never edit it to make the test pass.
 constexpr golden::Digest kShardLayouts11x7x5{0x0f6e7989d73701b0ull, 0x04f90ae2c4aa537eull};
 
-golden::Solve solve_with_layout(ShardGrid grid, u32 threads,
-                                core::SimEngine engine) {
+golden::Solve solve_with_layout(ShardGrid grid, u32 threads) {
   // Non-square, non-multiple extents: 11x7x5 forces ragged tile rects.
   const auto problem = FlowProblem::quarter_five_spot(11, 7, 5, 9, 0.8);
   core::DataflowConfig config;
@@ -320,7 +318,6 @@ golden::Solve solve_with_layout(ShardGrid grid, u32 threads,
   config.max_iterations = 18;
   config.sim_threads = threads;
   config.shard_grid = grid;
-  config.engine = engine;
   return golden::solve_cg(problem, config);
 }
 
@@ -334,16 +331,8 @@ TEST(ParallelFabric, SolveIsBitwiseIdenticalAcrossShardLayouts) {
     const std::string label = "grid {" + std::to_string(grid.rows) + "," +
                               std::to_string(grid.cols) +
                               "} threads=" + std::to_string(threads);
-    const golden::Solve bytecode =
-        solve_with_layout(grid, threads, core::SimEngine::Bytecode);
-    const golden::Solve legacy =
-        solve_with_layout(grid, threads, core::SimEngine::Legacy);
-    EXPECT_EQ(golden::digest(bytecode).result, golden::digest(legacy).result)
-        << label;
-    EXPECT_EQ(golden::digest(bytecode).telemetry,
-              golden::digest(legacy).telemetry)
-        << label;
-    golden::expect_digest(bytecode, kShardLayouts11x7x5, label);
+    golden::expect_digest(solve_with_layout(grid, threads),
+                          kShardLayouts11x7x5, label);
   };
   check(ShardGrid{1, 1}, 1);
   for (const ShardGrid& grid : grids)

@@ -6,6 +6,7 @@
 //   ./tools/fvdf_sim --sim-threads 4 path/to/case.ini
 //   ./tools/fvdf_sim --profile-host prof_out path/to/case.ini
 //   ./tools/fvdf_sim --print-template > case.ini
+//   ./tools/fvdf_sim --help
 //
 // See src/app/scenario.hpp for the full schema. `--sim-threads N` overrides
 // the config's solver.sim_threads (0 = hardware concurrency); it changes
@@ -65,9 +66,10 @@ vtk = case.vtk
 heatmap = true
 )";
 
-void usage() {
-  std::cerr << "usage: fvdf_sim [--sim-threads N] [--profile-host DIR] "
-               "<case.ini>  (or --print-template)\n";
+void usage(std::ostream& os = std::cerr) {
+  os << "usage: fvdf_sim [--sim-threads N] [--profile-host DIR] <case.ini>\n"
+        "       fvdf_sim --print-template\n"
+        "       fvdf_sim --help\n";
 }
 
 } // namespace
@@ -80,6 +82,10 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--print-template") {
       std::cout << kTemplate;
+      return 0;
+    }
+    if (arg == "--help" || arg == "-h") {
+      usage(std::cout);
       return 0;
     }
     if (arg == "--sim-threads") {
@@ -101,6 +107,11 @@ int main(int argc, char** argv) {
       }
       host_profile_dir = argv[++i];
       continue;
+    }
+    if (arg.size() > 1 && arg[0] == '-') {
+      std::cerr << "error: unknown option " << arg << '\n';
+      usage();
+      return 2;
     }
     if (!case_path.empty()) {
       usage();
