@@ -63,8 +63,7 @@ std::shared_ptr<const wse::bc::Program> build_halo(PeContext& ctx, u32 nz) {
   return std::make_shared<const wse::bc::Program>(b.finish());
 }
 
-std::shared_ptr<const wse::bc::Program> build_allreduce(PeContext& ctx,
-                                                        f32 value) {
+std::shared_ptr<const wse::bc::Program> build_allreduce(PeContext& ctx) {
   csl::AllReduce reduce_routes;
   reduce_routes.configure(ctx);
   wse::bc::Builder b("allreduce");
@@ -79,7 +78,7 @@ std::shared_ptr<const wse::bc::Program> build_allreduce(PeContext& ctx,
   b.bind(entry);
   b.set_entry(entry);
   reduce.emit_handler_bindings();
-  b.umovi(0, value); // this PE's contribution
+  b.umovi(0, 1.0f); // this PE's contribution
   b.setc(1, done);
   b.jmp(reduce.start_label());
   b.bind(done);
@@ -251,10 +250,9 @@ ProgramFactory halo_program(u32 nz) {
   };
 }
 
-ProgramFactory allreduce_program(f32 value) {
-  return [value](PeCoord) {
-    return std::make_unique<wse::bc::BuiltProgram>(
-        [value](PeContext& ctx) { return build_allreduce(ctx, value); });
+ProgramFactory allreduce_program() {
+  return [](PeCoord) {
+    return std::make_unique<wse::bc::BuiltProgram>(build_allreduce);
   };
 }
 

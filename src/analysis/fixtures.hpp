@@ -22,9 +22,9 @@ namespace fvdf::analysis::fixtures {
 /// Table-I four-step halo exchange, one round, nz-word columns.
 wse::ProgramFactory halo_program(u32 nz = 4);
 
-/// Three-phase whole-fabric all-reduce contributing `value` per PE; the
+/// Three-phase whole-fabric all-reduce contributing 1.0 per PE; the
 /// fabric total ends in every PE's f0 register (bytecode_state()->f[0]).
-wse::ProgramFactory allreduce_program(f32 value = 1.0f);
+wse::ProgramFactory allreduce_program();
 
 /// Fig.-4 eastward exchange (single color, two-position ring).
 wse::ProgramFactory eastward_program(u32 block = 4);

@@ -100,8 +100,9 @@ bool JobManager::submit(JobSpec spec, EventSink sink, std::string* error_code) {
     if (live_.count(job->spec.id) != 0) return reject("duplicate_id");
     if (queue_.size() >= config_.queue_capacity) return reject("queue_full");
     // Spool before admitting: a job whose case text cannot be persisted
-    // would not survive a restart, so it is refused. Under the lock, so a
-    // concurrent submission with the same id cannot clobber the file.
+    // would not survive a restart, so it is refused. Under the lock, which
+    // finish() also holds while it removes a finished job's spool files,
+    // so a resubmitted id's fresh case file is never deleted.
     if (!config_.spool_dir.empty()) {
       try {
         write_file_atomic(spool_case_path(job->spec.id), job->spec.case_text);
@@ -263,6 +264,14 @@ void JobManager::finish(const std::shared_ptr<Job>& job, JobState state,
   {
     std::lock_guard<std::mutex> lock(mutex_);
     job->state = state;
+    // Remove the spool files before the id leaves live_, under the lock
+    // submit() spools under: a resubmission of the same id is admitted
+    // only after this removal, so it cannot lose its fresh case file.
+    if (!config_.spool_dir.empty() && !keep_spool) {
+      std::error_code ignored;
+      fs::remove(spool_case_path(job->spec.id), ignored);
+      fs::remove(spool_ckpt_path(job->spec.id), ignored);
+    }
     live_.erase(job->spec.id);
     switch (state) {
     case JobState::Done: ++stats_.completed; break;
@@ -271,11 +280,6 @@ void JobManager::finish(const std::shared_ptr<Job>& job, JobState state,
     case JobState::Expired: ++stats_.expired; break;
     default: break;
     }
-  }
-  if (!config_.spool_dir.empty() && !keep_spool) {
-    std::error_code ignored;
-    fs::remove(spool_case_path(job->spec.id), ignored);
-    fs::remove(spool_ckpt_path(job->spec.id), ignored);
   }
   idle_cv_.notify_all();
 }

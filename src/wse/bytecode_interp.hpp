@@ -180,7 +180,6 @@ public:
 
   const Program* bytecode() const override { return program_.get(); }
   VmState* bytecode_state() override { return &vm_; }
-  const VmState& vm() const { return vm_; }
 
 private:
   Build build_;

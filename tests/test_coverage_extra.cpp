@@ -8,7 +8,7 @@
 
 #include <cmath>
 
-#include "analysis/fixtures.hpp"
+#include "collective_programs.hpp"
 #include "core/solver.hpp"
 #include "core/validation.hpp"
 #include "fv/problem.hpp"
@@ -294,17 +294,10 @@ TEST(GpuExtra, MemcpyTrafficIsCounted) {
 
 TEST(ComponentExtra, AllReduceOnLargeFabric) {
   Fabric fabric(10, 10);
-  const wse::ProgramFactory reduce = analysis::fixtures::allreduce_program(2.5f);
-  std::vector<PeProgram*> programs;
-  fabric.load([&](PeCoord coord) {
-    auto program = reduce(coord);
-    programs.push_back(program.get());
-    return program;
-  });
-  ASSERT_TRUE(fabric.run().all_halted);
-  ASSERT_EQ(programs.size(), 100u);
-  for (PeProgram* program : programs)
-    EXPECT_FLOAT_EQ(program->bytecode_state()->f[0], 250.0f); // fabric total
+  const std::vector<f32> totals = csl::collective_test::run_reduce_test(
+      fabric, /*rounds=*/1, [](PeCoord) { return 2.5f; });
+  ASSERT_EQ(totals.size(), 100u);
+  for (const f32 total : totals) EXPECT_FLOAT_EQ(total, 250.0f); // fabric total
 }
 
 TEST(ComponentExtra, DataflowSolveWithUnitDepth) {

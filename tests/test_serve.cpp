@@ -420,6 +420,47 @@ TEST(ServeJobs, UnwritableSpoolRejectsTheJob) {
   std::filesystem::remove(spool);
 }
 
+// An id resubmitted the moment its first job finishes keeps its spooled
+// case file: the finished job's spool cleanup never deletes the new one.
+TEST(ServeJobs, ResubmittedIdKeepsItsSpoolFile) {
+  const auto spool = std::filesystem::temp_directory_path() /
+                     ("fvdf_serve_resubmit_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(spool);
+  auto cache = std::make_shared<ArtifactCache>(4);
+  JobManagerConfig config;
+  config.workers = 1;
+  config.spool_dir = spool.string();
+  EventLog log;
+  JobManager jobs(cache, config);
+
+  // One worker runs "reused", then "blocker"; the resubmitted "reused"
+  // queues behind the blocker, so nothing else removes its file.
+  JobSpec first;
+  first.id = "reused";
+  first.case_text = kBaseCase;
+  ASSERT_TRUE(jobs.submit(first, log.sink()));
+  JobSpec blocker;
+  blocker.id = "blocker";
+  blocker.case_text = kTransientCase;
+  blocker.stream_residuals = true;
+  ASSERT_TRUE(jobs.submit(blocker, log.sink()));
+  log.await("reused", "result");
+
+  // Resubmit as soon as the id is free again.
+  std::string code = "duplicate_id";
+  while (code == "duplicate_id") {
+    code.clear();
+    if (jobs.submit(first, log.sink(), &code)) break;
+  }
+  EXPECT_TRUE(code.empty()) << code;
+  // The blocker's first step runs after the first job's finish returned.
+  log.await("blocker", "step");
+  EXPECT_TRUE(std::filesystem::exists(spool / "reused.case.ini"));
+  jobs.shutdown_graceful(); // the queued resubmission stays spooled
+  EXPECT_TRUE(std::filesystem::exists(spool / "reused.case.ini"));
+  std::filesystem::remove_all(spool);
+}
+
 TEST(ServeJobs, RestartFromSpoolResumesBitwiseIdentical) {
   const auto spool =
       std::filesystem::temp_directory_path() / "fvdf_serve_spool_test";
