@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "core/solver.hpp"
 #include "core/validation.hpp"
@@ -151,6 +152,8 @@ constexpr golden::Digest kThreads4x6x5{0x21ec8db28c91a96cull, 0xb8cea3622a7240ad
 constexpr golden::Digest kDeepCgFused{0x3198225c94bd7df4ull, 0x77abbb4e3980411cull};
 constexpr golden::Digest kDeepJacobiShift{0x2678a5c33994d028ull, 0xfac343818d03bfe8ull};
 constexpr golden::Digest kDeepOnTheFly{0x6b7d076199e39389ull, 0x81887412d33fe34aull};
+constexpr golden::Digest kInitialField5x5x3{0xe7d1038084996960ull, 0xac02c98fb4d27193ull};
+constexpr golden::Digest kInitialFieldDeep{0xcc6c836016bdd32cull, 0xe85c7fc57b4e338dull};
 
 void expect_golden(const FlowProblem& problem, const DataflowConfig& config,
                    const golden::Digest& want, const std::string& label) {
@@ -252,6 +255,32 @@ TEST(GoldenDigest, DeepColumnOnTheFly) {
   DataflowConfig config = deep_config();
   config.flux_mode = FluxMode::OnTheFly;
   expect_golden(problem, config, kDeepOnTheFly, "3x3x256 on-the-fly");
+}
+
+// A non-default initial field (DataflowConfig::initial_field): every
+// interior cell gets its own starting value, Dirichlet cells keep theirs,
+// so each PE uploads a different p0 column.
+std::vector<f64> varied_initial_field(const FlowProblem& problem) {
+  std::vector<f64> field = problem.initial_pressure(0.0);
+  const std::vector<f64> probe = problem.initial_pressure(1.0);
+  for (std::size_t i = 0; i < field.size(); ++i)
+    if (field[i] != probe[i]) field[i] = 0.1 * static_cast<f64>((i * 7) % 13);
+  return field;
+}
+
+TEST(GoldenDigest, InitialFieldOverride) {
+  const auto small = FlowProblem::quarter_five_spot(5, 5, 3, /*seed=*/9);
+  DataflowConfig config = tight_config();
+  config.initial_field = varied_initial_field(small);
+  expect_golden(small, config, kInitialField5x5x3, "5x5x3 initial field");
+
+  const auto deep = FlowProblem::quarter_five_spot(4, 3, 512, /*seed=*/13, 0.5);
+  DataflowConfig deep_cfg = deep_config();
+  deep_cfg.jacobi_precondition = true;
+  deep_cfg.diagonal_shift = 0.05f;
+  deep_cfg.initial_field = varied_initial_field(deep);
+  expect_golden(deep, deep_cfg, kInitialFieldDeep,
+                "4x3x512 jacobi + shift initial field");
 }
 
 // The preflight verifier consumes the bytecode manifest (derived from the
