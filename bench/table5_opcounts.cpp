@@ -39,6 +39,7 @@ OpCounters per_iteration_counters(core::FluxMode mode, u64 base_iters, i64 dim,
   auto run = [&](u64 iters) {
     const auto problem = FlowProblem::homogeneous_column(dim, dim, nz);
     const auto sys = problem.discretize<f32>();
+    const auto p0 = problem.initial_pressure();
     wse::Fabric fabric(dim, dim);
     const auto cache = std::make_shared<core::ProgramCache>();
     fabric.load([&](wse::PeCoord coord) {
@@ -47,7 +48,7 @@ OpCounters per_iteration_counters(core::FluxMode mode, u64 base_iters, i64 dim,
       config.mode = mode;
       config.max_iterations = iters;
       config.tolerance = 0.0f;
-      config.init = core::build_pe_init(problem, sys, coord.x, coord.y, mode);
+      config.init = core::build_pe_init(sys, p0, coord.x, coord.y, mode);
       return std::make_unique<core::BytecodeCgProgram>(
           std::move(config), coord, dim, dim, wse::PeMemoryParams{}, cache);
     });

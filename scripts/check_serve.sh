@@ -10,7 +10,9 @@
 #   2. a cancellation and an impossible deadline — both must come back
 #      as well-formed {"event":"error"} objects with the documented
 #      codes, not connection drops;
-#   3. GET /healthz and GET /stats over HTTP;
+#   3. GET /healthz and GET /stats over HTTP, and a request declaring a
+#      Content-Length over 1 MiB answered 413 with the daemon still
+#      serving /healthz afterwards;
 #   4. SIGTERM mid-transient-run — the daemon must checkpoint the job
 #      into the spool, log its shutdown lines and exit 0; a restarted
 #      daemon must log the recovery, finish the job from the checkpoint
@@ -184,6 +186,20 @@ if match:
     doc = json.load(urllib.request.urlopen(
         f"http://127.0.0.1:{port}/stats", timeout=10))
     check("cache" in doc and "jobs" in doc, "GET /stats parses")
+    # A declared body over the 1 MiB cap is refused before it is read,
+    # and the daemon keeps serving.
+    raw = socket.create_connection(("127.0.0.1", port), timeout=10)
+    raw.sendall(b"POST /solve HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: 1099511627776\r\n\r\n")
+    reply = b""
+    while chunk := raw.recv(4096):
+        reply += chunk
+    raw.close()
+    check(reply.startswith(b"HTTP/1.1 413 "),
+          f"huge Content-Length gets 413 (got {reply[:40]!r})")
+    body = urllib.request.urlopen(
+        f"http://127.0.0.1:{port}/healthz", timeout=10).read()
+    check(body == b"ok\n", "GET /healthz after the 413")
 
 if failures:
     raise SystemExit(1)

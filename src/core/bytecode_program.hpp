@@ -20,7 +20,8 @@
 //
 // Lowering happens eagerly at construction against a probe PeMemory (the
 // same allocation sequence on_start later performs against the real
-// arena, so embedded offsets agree), which makes the manifest — derived
+// arena, so embedded offsets agree; planned once per Dirichlet count and
+// memoized in the ProgramCache), which makes the manifest — derived
 // from the instruction stream by PeProgram::manifest — and bytecode()
 // available to the verifier and the lookahead planner before the fabric
 // runs. PEs whose lowering inputs coincide (coordinate parity, fabric
@@ -94,7 +95,9 @@ lower_chebyshev(const ChebyshevPeConfig& config, const LoweringSite& site);
 
 /// Thread-safe Program cache shared by every PE of one solve (programs are
 /// lowered lazily per distinct site shape; on_start runs concurrently
-/// across fabric shards).
+/// across fabric shards). It also memoizes the arena plan: a solve has a
+/// handful of distinct Dirichlet counts, so the probe arena is built once
+/// per count, not once per PE.
 class ProgramCache {
 public:
   using Key = std::tuple<u32, u32, u32>; // (shape bits, dirichlet count, slot)
@@ -105,17 +108,29 @@ public:
   std::shared_ptr<const wse::bc::Program> get_or_lower(const Key& key,
                                                        const Lower& lower);
 
+  /// The coordinate-free part of a lowering site — the PeLayout and the
+  /// AllReduce slots — planned against a probe arena with the exact
+  /// allocation sequence on_start performs, once per distinct input set.
+  LoweringSite planned_site(const wse::PeMemoryParams& mem, u32 nz,
+                            FluxMode mode, u32 dirichlet_count, bool jacobi,
+                            bool with_source);
+
 private:
+  // Every PeLayout::plan input, so a memo hit is exact for any caller.
+  using PlanKey = std::tuple<u32, u32, FluxMode, bool, bool, u64, u64>;
+
   std::mutex mutex_;
   std::map<Key, std::shared_ptr<const wse::bc::Program>> programs_;
+  std::map<PlanKey, LoweringSite> plans_;
 };
 
-/// Computes the lowering site a PE at `coord` will see: plans the layout
-/// against a probe arena with the exact allocation sequence on_start
-/// performs, so every embedded offset matches the real run.
+/// Computes the lowering site a PE at `coord` will see: the cache's
+/// planned_site for its Dirichlet count plus the PE's position, so every
+/// embedded offset matches the real run.
 LoweringSite plan_site(wse::PeCoord coord, i64 width, i64 height,
                        const wse::PeMemoryParams& mem, u32 nz, FluxMode mode,
-                       u32 dirichlet_count, bool jacobi, bool with_source);
+                       u32 dirichlet_count, bool jacobi, bool with_source,
+                       ProgramCache& cache);
 
 class BytecodeCgProgram final : public wse::PeProgram {
 public:

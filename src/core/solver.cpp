@@ -49,11 +49,11 @@ struct CoefBuilder {
 
 } // namespace
 
-PeInit build_pe_init(const FlowProblem& problem, const DiscreteSystem<f32>& sys,
-                     i64 x, i64 y, FluxMode mode, const std::vector<f32>* minv,
-                     const std::vector<f64>* p0_override) {
+PeInit build_pe_init(const DiscreteSystem<f32>& sys, const std::vector<f64>& p0,
+                     i64 x, i64 y, FluxMode mode, const std::vector<f32>* minv) {
   const i64 nx = sys.nx, ny = sys.ny, nz = sys.nz;
   FVDF_CHECK(x >= 0 && x < nx && y >= 0 && y < ny);
+  FVDF_CHECK(p0.size() == static_cast<std::size_t>(sys.cell_count()));
   const CoefBuilder coef{sys, mode};
 
   PeInit init;
@@ -67,9 +67,6 @@ PeInit build_pe_init(const FlowProblem& problem, const DiscreteSystem<f32>& sys,
   if (minv) init.minv.resize(static_cast<std::size_t>(nz));
   if (!sys.source.empty()) init.source.resize(static_cast<std::size_t>(nz));
 
-  const std::vector<f64> p0 =
-      p0_override ? *p0_override : problem.initial_pressure();
-  FVDF_CHECK(p0.size() == static_cast<std::size_t>(sys.cell_count()));
   for (i64 z = 0; z < nz; ++z) {
     const auto zi = static_cast<std::size_t>(z);
     const auto k = static_cast<std::size_t>((z * ny + y) * nx + x);
@@ -89,15 +86,15 @@ PeInit build_pe_init(const FlowProblem& problem, const DiscreteSystem<f32>& sys,
 
 namespace {
 
-// Shared host-side readback: walks every PE, re-plans its layout, and
-// copies the solution delta + result scalars out of the arena.
+// Shared host-side readback: walks every PE, takes its layout from the
+// cache's plan memo, and copies the solution delta + result scalars out of
+// the arena.
 DataflowResult read_back(wse::Fabric& fabric, const wse::Fabric::RunResult& run,
-                         const FlowProblem& problem, const DiscreteSystem<f32>& sys,
+                         const DiscreteSystem<f32>& sys,
+                         const std::vector<f64>& p0, ProgramCache& programs,
                          FluxMode flux_mode, bool jacobi,
-                         const wse::PeMemoryParams& mem_params,
-                         const std::vector<f64>& initial_field) {
-  const auto& mesh = problem.mesh();
-  const i64 nx = mesh.nx(), ny = mesh.ny(), nz = mesh.nz();
+                         const wse::PeMemoryParams& mem_params) {
+  const i64 nx = sys.nx, ny = sys.ny, nz = sys.nz;
 
   DataflowResult result;
   result.device_cycles = run.cycles;
@@ -105,11 +102,9 @@ DataflowResult read_back(wse::Fabric& fabric, const wse::Fabric::RunResult& run,
   result.fabric = fabric.stats();
   result.counters = fabric.total_counters();
 
-  const auto n = static_cast<std::size_t>(mesh.cell_count());
+  const auto n = static_cast<std::size_t>(sys.cell_count());
   result.delta.assign(n, 0.0f);
   result.pressure.assign(n, 0.0f);
-  const std::vector<f64> p0 =
-      initial_field.empty() ? problem.initial_pressure() : initial_field;
 
   bool first = true;
   for (i64 y = 0; y < ny; ++y) {
@@ -117,9 +112,11 @@ DataflowResult read_back(wse::Fabric& fabric, const wse::Fabric::RunResult& run,
       u32 dcount = 0;
       for (i64 z = 0; z < nz; ++z)
         if (sys.dirichlet[static_cast<std::size_t>((z * ny + y) * nx + x)]) ++dcount;
-      wse::PeMemory probe(mem_params.capacity_bytes, mem_params.reserved_bytes);
-      const PeLayout layout = PeLayout::plan(probe, static_cast<u32>(nz), flux_mode,
-                                             dcount, jacobi, !sys.source.empty());
+      const PeLayout layout =
+          programs
+              .planned_site(mem_params, static_cast<u32>(nz), flux_mode, dcount,
+                            jacobi, !sys.source.empty())
+              .layout;
 
       auto& mem = fabric.pe_memory(x, y);
       for (i64 z = 0; z < nz; ++z) {
@@ -183,19 +180,35 @@ void finalize_telemetry(telemetry::Session* session,
 
 namespace {
 
+/// The bytecode-program cache a solve's factory hands every PE: the
+/// caller's cross-solve CaseArtifacts cache when provided (created there
+/// on first use), else a fresh per-solve cache — either way all PEs of a
+/// solve share the handful of lowered programs (one per fabric-position
+/// shape) and layout plans (one per Dirichlet count).
+std::shared_ptr<ProgramCache>
+solve_program_cache(const std::shared_ptr<CaseArtifacts>& artifacts) {
+  if (!artifacts) return std::make_shared<ProgramCache>();
+  static std::mutex init_mutex;
+  std::lock_guard<std::mutex> lock(init_mutex);
+  if (!artifacts->programs) artifacts->programs = std::make_shared<ProgramCache>();
+  return artifacts->programs;
+}
+
 /// Host-side state the CG program factory reads from (kept alive by the
 /// caller for the factory's lifetime).
 struct CgSetup {
   DiscreteSystem<f32> sys;
   std::vector<f32> minv; // Jacobi inverse diagonal; empty when off
-  std::vector<f64> p0;   // initial field, materialized once per solve
+  std::vector<f64> p0;   // initial field (global layout)
+  std::shared_ptr<ProgramCache> programs;
 };
 
+// The factory runs once per PE in every setup pass (verify, lookahead
+// plan, load), so per-PE work must stay O(nz): everything global is built
+// here once, and build_pe_init reads only its PE's column of it.
 CgSetup prepare_cg(const FlowProblem& problem, const DataflowConfig& config) {
-  CgSetup setup{problem.discretize<f32>(), {}, {}};
-  // Materialize the initial field once: build_pe_init is called per PE per
-  // pass (verify + lookahead + load), and problem.initial_pressure()
-  // allocates and fills a full cell-count vector each call.
+  CgSetup setup{problem.discretize<f32>(), {}, {},
+                solve_program_cache(config.artifacts)};
   setup.p0 = config.initial_field.empty() ? problem.initial_pressure()
                                           : config.initial_field;
   // Jacobi preconditioner diagonal, with the backward-Euler shift folded
@@ -209,20 +222,6 @@ CgSetup prepare_cg(const FlowProblem& problem, const DataflowConfig& config) {
     }
   }
   return setup;
-}
-
-/// The bytecode-program cache a solve's factory hands every PE: the
-/// caller's cross-solve CaseArtifacts cache when provided (created there
-/// on first use), else a fresh per-solve cache — either way all PEs of a
-/// solve share the handful of lowered programs (one per fabric-position
-/// shape).
-std::shared_ptr<ProgramCache>
-solve_program_cache(const std::shared_ptr<CaseArtifacts>& artifacts) {
-  if (!artifacts) return std::make_shared<ProgramCache>();
-  static std::mutex init_mutex;
-  std::lock_guard<std::mutex> lock(init_mutex);
-  if (!artifacts->programs) artifacts->programs = std::make_shared<ProgramCache>();
-  return artifacts->programs;
 }
 
 /// Lookahead planning with the CaseArtifacts memo: the realized tile grid
@@ -254,8 +253,7 @@ void install_lookahead(wse::Fabric& fabric, const wse::ProgramFactory& factory,
 wse::ProgramFactory cg_factory(const FlowProblem& problem,
                                const DataflowConfig& config,
                                const CgSetup& setup) {
-  return [&problem, &config, &setup,
-          cache = solve_program_cache(config.artifacts)](wse::PeCoord coord)
+  return [&problem, &config, &setup](wse::PeCoord coord)
              -> std::unique_ptr<wse::PeProgram> {
     CgPeConfig pe_config;
     pe_config.nz = static_cast<u32>(problem.mesh().nz());
@@ -265,14 +263,13 @@ wse::ProgramFactory cg_factory(const FlowProblem& problem,
     pe_config.jx_only = config.jx_only;
     pe_config.jacobi = config.jacobi_precondition;
     pe_config.diagonal_shift = config.diagonal_shift;
-    pe_config.init = build_pe_init(problem, setup.sys, coord.x, coord.y,
+    pe_config.init = build_pe_init(setup.sys, setup.p0, coord.x, coord.y,
                                    config.flux_mode,
                                    config.jacobi_precondition ? &setup.minv
-                                                              : nullptr,
-                                   &setup.p0);
+                                                              : nullptr);
     return std::make_unique<BytecodeCgProgram>(
         std::move(pe_config), coord, problem.mesh().nx(), problem.mesh().ny(),
-        config.memory, cache);
+        config.memory, setup.programs);
   };
 }
 
@@ -309,8 +306,8 @@ DataflowResult solve_dataflow(const FlowProblem& problem, const DataflowConfig& 
                                                              : "fabric deadlocked"));
 
   DataflowResult result =
-      read_back(fabric, run, problem, sys, config.flux_mode,
-                config.jacobi_precondition, config.memory, config.initial_field);
+      read_back(fabric, run, sys, setup.p0, *setup.programs, config.flux_mode,
+                config.jacobi_precondition, config.memory);
   finalize_telemetry(config.telemetry, run, result);
   FVDF_LOG(Debug) << "dataflow solve: " << result.iterations << " iterations, "
                   << (result.converged ? "converged" : "NOT converged")
@@ -324,11 +321,13 @@ namespace {
 struct ChebSetup {
   DiscreteSystem<f32> sys;
   std::vector<f64> p0;
+  std::shared_ptr<ProgramCache> programs;
 };
 
 ChebSetup prepare_chebyshev(const FlowProblem& problem,
                             const ChebyshevDeviceConfig& config) {
-  ChebSetup setup{problem.discretize<f32>(), {}};
+  ChebSetup setup{problem.discretize<f32>(), {},
+                  solve_program_cache(config.artifacts)};
   setup.p0 = config.initial_field.empty() ? problem.initial_pressure()
                                           : config.initial_field;
   return setup;
@@ -337,9 +336,7 @@ ChebSetup prepare_chebyshev(const FlowProblem& problem,
 wse::ProgramFactory chebyshev_factory(const FlowProblem& problem,
                                       const ChebyshevDeviceConfig& config,
                                       const ChebSetup& setup) {
-  const DiscreteSystem<f32>& sys = setup.sys;
-  return [&problem, &config, &sys, &setup,
-          cache = solve_program_cache(config.artifacts)](wse::PeCoord coord)
+  return [&problem, &config, &setup](wse::PeCoord coord)
              -> std::unique_ptr<wse::PeProgram> {
     ChebyshevPeConfig pe_config;
     pe_config.nz = static_cast<u32>(problem.mesh().nz());
@@ -350,11 +347,11 @@ wse::ProgramFactory chebyshev_factory(const FlowProblem& problem,
     pe_config.lambda_min = static_cast<f32>(config.bounds.lambda_min);
     pe_config.lambda_max = static_cast<f32>(config.bounds.lambda_max);
     pe_config.diagonal_shift = config.diagonal_shift;
-    pe_config.init = build_pe_init(problem, sys, coord.x, coord.y, config.flux_mode,
-                                   nullptr, &setup.p0);
+    pe_config.init = build_pe_init(setup.sys, setup.p0, coord.x, coord.y,
+                                   config.flux_mode);
     return std::make_unique<BytecodeChebyshevProgram>(
         std::move(pe_config), coord, problem.mesh().nx(), problem.mesh().ny(),
-        config.memory, cache);
+        config.memory, setup.programs);
   };
 }
 
@@ -388,8 +385,8 @@ DataflowResult solve_dataflow_chebyshev(const FlowProblem& problem,
     analysis::annotate_host_profile(*config.host_profiler, fabric);
   FVDF_CHECK_MSG(run.all_halted, "Chebyshev device solve did not complete");
   DataflowResult result =
-      read_back(fabric, run, problem, sys, config.flux_mode, /*jacobi=*/false,
-                config.memory, config.initial_field);
+      read_back(fabric, run, sys, setup.p0, *setup.programs, config.flux_mode,
+                /*jacobi=*/false, config.memory);
   finalize_telemetry(config.telemetry, run, result);
   return result;
 }

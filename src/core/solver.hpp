@@ -31,8 +31,8 @@ namespace fvdf::core {
 /// Cross-solve artifact reuse for long-lived callers (the serve daemon,
 /// transient step loops): one CaseArtifacts shared by every solve of one
 /// *identical* solver configuration memoizes the lowered bytecode
-/// programs and the planned channel-lookahead tables, so repeat solves
-/// skip lowering and lookahead planning. Reuse never changes results:
+/// programs, their arena plans and the planned channel-lookahead tables,
+/// so repeat solves skip lowering and lookahead planning. Reuse never changes results:
 /// lowering and planning are deterministic, so a cached artifact is
 /// byte-identical to the one a fresh solve would rebuild (tested).
 ///
@@ -207,13 +207,14 @@ DataflowTransientResult solve_transient_dataflow(const FlowProblem& problem,
                                                  DataflowConfig config = {},
                                                  const TransientStepFn& on_step = {});
 
-/// Builds the per-PE init data for PE (x, y) — exposed for tests. `minv`
+/// Builds the per-PE init data for PE (x, y) — exposed for tests. `p0` is
+/// the global initial field (e.g. FlowProblem::initial_pressure()); `minv`
 /// is the global inverse-diagonal array when Jacobi preconditioning is on
-/// (nullptr otherwise). `diagonal_shift` folds the backward-Euler
-/// accumulation term into the preconditioner diagonal.
-PeInit build_pe_init(const FlowProblem& problem, const DiscreteSystem<f32>& sys,
+/// (nullptr otherwise). Reads only the (x, y) column of every global array
+/// and allocates only the column-sized PeInit arrays: the solver calls it
+/// once per PE in every setup pass.
+PeInit build_pe_init(const DiscreteSystem<f32>& sys, const std::vector<f64>& p0,
                      i64 x, i64 y, FluxMode mode,
-                     const std::vector<f32>* minv = nullptr,
-                     const std::vector<f64>* p0_override = nullptr);
+                     const std::vector<f32>* minv = nullptr);
 
 } // namespace fvdf::core

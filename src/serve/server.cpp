@@ -23,6 +23,10 @@ namespace fvdf::serve {
 
 namespace {
 
+// Byte cap on an HTTP request's header block and on its declared body: a
+// larger Content-Length is answered 413 before any body byte is read.
+constexpr std::size_t kMaxHttpBytes = 1u << 20;
+
 // send() with MSG_NOSIGNAL so a disconnected client yields EPIPE instead
 // of killing the daemon; short writes retried.
 bool send_all(int fd, const char* data, std::size_t size) {
@@ -355,7 +359,7 @@ void Server::serve_http(int fd) {
       return;
     }
     buffer.append(chunk, static_cast<std::size_t>(got));
-    if (buffer.size() > (1u << 20)) break; // oversized header
+    if (buffer.size() > kMaxHttpBytes) break; // oversized header
   }
 
   auto respond = [&](const char* status, const std::string& body,
@@ -389,6 +393,11 @@ void Server::serve_http(int fd) {
     if (pos != std::string::npos)
       content_length = static_cast<std::size_t>(
           std::strtoull(head.c_str() + pos + 15, nullptr, 10));
+  }
+  if (content_length > kMaxHttpBytes) {
+    respond("413 Payload Too Large", "request body exceeds 1 MiB\n");
+    untrack_and_close_fd(fd);
+    return;
   }
   std::string body = buffer.substr(header_end + 4);
   while (body.size() < content_length) {

@@ -269,9 +269,10 @@ core::ChebyshevPeConfig chebyshev_config(u32 nz) {
 }
 
 core::LoweringSite site_at(wse::PeCoord coord, i64 w, i64 h, u32 nz) {
+  core::ProgramCache cache;
   return core::plan_site(coord, w, h, wse::PeMemoryParams{}, nz,
                          core::FluxMode::Fused, /*dirichlet_count=*/0,
-                         /*jacobi=*/false, /*with_source=*/false);
+                         /*jacobi=*/false, /*with_source=*/false, cache);
 }
 
 TEST(BytecodeStatic, LoweredProgramsLintCleanOnAllShapes) {

@@ -4,11 +4,36 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
 #include "common/error.hpp"
 #include "core/mapping.hpp"
 #include "core/solver.hpp"
 #include "fv/problem.hpp"
 #include "wse/memory.hpp"
+
+// Global allocation counter for CoreMapping.BuildPeInitAllocatesOnlyItsColumn: while
+// g_count_allocations is set, every operator new adds its size to
+// g_allocated_bytes. new and delete are replaced together (malloc/free) so
+// sanitizers see matching pairs.
+namespace {
+std::atomic<bool> g_count_allocations{false};
+std::atomic<std::size_t> g_allocated_bytes{0};
+} // namespace
+
+void* operator new(std::size_t bytes) {
+  if (g_count_allocations.load(std::memory_order_relaxed))
+    g_allocated_bytes.fetch_add(bytes, std::memory_order_relaxed);
+  if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t bytes) { return ::operator new(bytes); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace fvdf::core {
 namespace {
@@ -122,7 +147,8 @@ TEST(MemoryPlanner, NaiveBytesFormula) {
 TEST(BuildPeInit, SlicesColumnsCorrectly) {
   const auto problem = FlowProblem::quarter_five_spot(4, 3, 5, 77);
   const auto sys = problem.discretize<f32>();
-  const PeInit init = build_pe_init(problem, sys, 2, 1, FluxMode::Fused);
+  const auto p0 = problem.initial_pressure();
+  const PeInit init = build_pe_init(sys, p0, 2, 1, FluxMode::Fused);
   EXPECT_EQ(init.cw.size(), 5u);
   EXPECT_EQ(init.cz.size(), 4u);
   EXPECT_EQ(init.p0.size(), 5u);
@@ -133,13 +159,14 @@ TEST(BuildPeInit, SlicesColumnsCorrectly) {
 TEST(BuildPeInit, BoundaryPesHaveZeroOutwardCoefficients) {
   const auto problem = FlowProblem::quarter_five_spot(4, 3, 2, 5);
   const auto sys = problem.discretize<f32>();
-  const PeInit west_edge = build_pe_init(problem, sys, 0, 1, FluxMode::Fused);
+  const auto p0 = problem.initial_pressure();
+  const PeInit west_edge = build_pe_init(sys, p0, 0, 1, FluxMode::Fused);
   for (f32 c : west_edge.cw) EXPECT_EQ(c, 0.0f);
-  const PeInit east_edge = build_pe_init(problem, sys, 3, 1, FluxMode::Fused);
+  const PeInit east_edge = build_pe_init(sys, p0, 3, 1, FluxMode::Fused);
   for (f32 c : east_edge.ce) EXPECT_EQ(c, 0.0f);
-  const PeInit north_edge = build_pe_init(problem, sys, 1, 0, FluxMode::Fused);
+  const PeInit north_edge = build_pe_init(sys, p0, 1, 0, FluxMode::Fused);
   for (f32 c : north_edge.cn) EXPECT_EQ(c, 0.0f); // fabric north = y-1
-  const PeInit south_edge = build_pe_init(problem, sys, 1, 2, FluxMode::Fused);
+  const PeInit south_edge = build_pe_init(sys, p0, 1, 2, FluxMode::Fused);
   for (f32 c : south_edge.cs) EXPECT_EQ(c, 0.0f); // fabric south = y+1
 }
 
@@ -148,39 +175,43 @@ TEST(BuildPeInit, CoefficientsAreSymmetricAcrossPes) {
   // PE (x+1, y): both are Upsilon * lambda_avg of the shared face.
   const auto problem = FlowProblem::quarter_five_spot(4, 4, 3, 11);
   const auto sys = problem.discretize<f32>();
-  const PeInit a = build_pe_init(problem, sys, 1, 2, FluxMode::Fused);
-  const PeInit b = build_pe_init(problem, sys, 2, 2, FluxMode::Fused);
+  const auto p0 = problem.initial_pressure();
+  const PeInit a = build_pe_init(sys, p0, 1, 2, FluxMode::Fused);
+  const PeInit b = build_pe_init(sys, p0, 2, 2, FluxMode::Fused);
   for (std::size_t z = 0; z < a.ce.size(); ++z) EXPECT_EQ(a.ce[z], b.cw[z]);
   // Same for the fabric south/north pair.
-  const PeInit c = build_pe_init(problem, sys, 1, 1, FluxMode::Fused);
-  const PeInit d = build_pe_init(problem, sys, 1, 2, FluxMode::Fused);
+  const PeInit c = build_pe_init(sys, p0, 1, 1, FluxMode::Fused);
+  const PeInit d = build_pe_init(sys, p0, 1, 2, FluxMode::Fused);
   for (std::size_t z = 0; z < c.cs.size(); ++z) EXPECT_EQ(c.cs[z], d.cn[z]);
 }
 
 TEST(BuildPeInit, DirichletColumnsListEveryZ) {
   const auto problem = FlowProblem::homogeneous_column(3, 3, 4);
   const auto sys = problem.discretize<f32>();
-  const PeInit injector = build_pe_init(problem, sys, 0, 0, FluxMode::Fused);
+  const auto p0 = problem.initial_pressure();
+  const PeInit injector = build_pe_init(sys, p0, 0, 0, FluxMode::Fused);
   ASSERT_EQ(injector.dirichlet_z.size(), 4u);
   for (u16 z = 0; z < 4; ++z) EXPECT_EQ(injector.dirichlet_z[z], z);
-  const PeInit interior = build_pe_init(problem, sys, 1, 1, FluxMode::Fused);
+  const PeInit interior = build_pe_init(sys, p0, 1, 1, FluxMode::Fused);
   EXPECT_TRUE(interior.dirichlet_z.empty());
 }
 
 TEST(BuildPeInit, P0CarriesBoundaryValues) {
   const auto problem = FlowProblem::homogeneous_column(3, 3, 2);
   const auto sys = problem.discretize<f32>();
-  const PeInit injector = build_pe_init(problem, sys, 0, 0, FluxMode::Fused);
+  const auto p0 = problem.initial_pressure();
+  const PeInit injector = build_pe_init(sys, p0, 0, 0, FluxMode::Fused);
   for (f32 p : injector.p0) EXPECT_EQ(p, 1.0f);
-  const PeInit producer = build_pe_init(problem, sys, 2, 2, FluxMode::Fused);
+  const PeInit producer = build_pe_init(sys, p0, 2, 2, FluxMode::Fused);
   for (f32 p : producer.p0) EXPECT_EQ(p, 0.0f);
 }
 
 TEST(BuildPeInit, OnTheFlyKeepsRawTransmissibilityAndMobility) {
   const auto problem = FlowProblem::quarter_five_spot(3, 3, 3, 21);
   const auto sys = problem.discretize<f32>();
-  const PeInit otf = build_pe_init(problem, sys, 1, 1, FluxMode::OnTheFly);
-  const PeInit fused = build_pe_init(problem, sys, 1, 1, FluxMode::Fused);
+  const auto p0 = problem.initial_pressure();
+  const PeInit otf = build_pe_init(sys, p0, 1, 1, FluxMode::OnTheFly);
+  const PeInit fused = build_pe_init(sys, p0, 1, 1, FluxMode::Fused);
   EXPECT_EQ(otf.lambda.size(), 3u);
   // Fused = raw * lambda_avg; with uniform lambda = 1/mu = 1 they happen to
   // match, so use the relation explicitly.
@@ -193,8 +224,29 @@ TEST(BuildPeInit, OnTheFlyKeepsRawTransmissibilityAndMobility) {
 TEST(BuildPeInit, RejectsOutOfRangeCoordinates) {
   const auto problem = FlowProblem::homogeneous_column(2, 2, 2);
   const auto sys = problem.discretize<f32>();
-  EXPECT_THROW(build_pe_init(problem, sys, 2, 0, FluxMode::Fused), Error);
-  EXPECT_THROW(build_pe_init(problem, sys, 0, -1, FluxMode::Fused), Error);
+  const auto p0 = problem.initial_pressure();
+  EXPECT_THROW(build_pe_init(sys, p0, 2, 0, FluxMode::Fused), Error);
+  EXPECT_THROW(build_pe_init(sys, p0, 0, -1, FluxMode::Fused), Error);
+}
+
+// Per-PE setup is O(nz): one call reads its own column of the field and
+// allocates only the column-sized PeInit arrays, never a copy of the field.
+TEST(CoreMapping, BuildPeInitAllocatesOnlyItsColumn) {
+  const auto problem = FlowProblem::quarter_five_spot(64, 64, 8, 3);
+  const auto sys = problem.discretize<f32>();
+  const auto p0 = problem.initial_pressure(0.25);
+  const i64 nz = 8, x = 37, y = 21;
+
+  g_allocated_bytes = 0;
+  g_count_allocations = true;
+  const PeInit init = build_pe_init(sys, p0, x, y, FluxMode::Fused);
+  g_count_allocations = false;
+
+  EXPECT_LT(g_allocated_bytes.load(), static_cast<std::size_t>(64 * nz * 4));
+  ASSERT_EQ(init.p0.size(), static_cast<std::size_t>(nz));
+  for (i64 z = 0; z < nz; ++z)
+    EXPECT_EQ(init.p0[static_cast<std::size_t>(z)],
+              static_cast<f32>(p0[static_cast<std::size_t>((z * 64 + y) * 64 + x)]));
 }
 
 TEST(LayoutNames, ToStringCoversAll) {

@@ -30,13 +30,14 @@ void load_solver(wse::Fabric& fabric, const FlowProblem& problem,
                  u64 max_iterations) {
   const auto& mesh = problem.mesh();
   const auto sys = problem.discretize<f32>();
+  const auto p0 = problem.initial_pressure();
   const auto cache = std::make_shared<core::ProgramCache>();
   fabric.load([&](wse::PeCoord coord) -> std::unique_ptr<wse::PeProgram> {
     core::CgPeConfig config;
     config.nz = static_cast<u32>(mesh.nz());
     config.max_iterations = max_iterations;
     config.tolerance = 0.0f;
-    config.init = core::build_pe_init(problem, sys, coord.x, coord.y,
+    config.init = core::build_pe_init(sys, p0, coord.x, coord.y,
                                       core::FluxMode::Fused);
     return std::make_unique<core::BytecodeCgProgram>(
         std::move(config), coord, mesh.nx(), mesh.ny(), wse::PeMemoryParams{},

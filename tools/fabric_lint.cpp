@@ -329,6 +329,7 @@ int demo_defects(JsonSink& json) {
 /// diagnostics for the encoding itself gate the exit status.
 int dump_programs(i64 width, i64 height, u32 nz, bool cfg) {
   const wse::PeMemoryParams mem;
+  core::ProgramCache plans;
   bool ok = true;
 
   struct Lowering {
@@ -358,12 +359,13 @@ int dump_programs(i64 width, i64 height, u32 nz, bool cfg) {
                                           core::FluxMode::Fused,
                                           /*dirichlet_count=*/0,
                                           /*jacobi=*/false,
-                                          /*with_source=*/false);
+                                          /*with_source=*/false, plans);
         distinct.emplace(core::ProgramCache::key_for(site), site.coord);
       }
     for (const auto& [key, coord] : distinct) {
       const auto site = core::plan_site(coord, width, height, mem, nz,
-                                        core::FluxMode::Fused, 0, false, false);
+                                        core::FluxMode::Fused, 0, false, false,
+                                        plans);
       const auto program = lowering.lower(site);
       std::cout << "--- " << lowering.name << " bytecode @ PE (" << coord.x
                 << ", " << coord.y << ") on " << width << "x" << height
