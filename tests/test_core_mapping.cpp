@@ -14,8 +14,8 @@
 #include "fv/problem.hpp"
 #include "wse/memory.hpp"
 
-// Global allocation counter for CoreMapping.BuildPeInitAllocatesOnlyItsColumn: while
-// g_count_allocations is set, every operator new adds its size to
+// Global allocation counter for CoreMapping.BuildPeInitAllocatesOnlyItsColumn:
+// while g_count_allocations is set, every operator new adds its size to
 // g_allocated_bytes. new and delete are replaced together (malloc/free) so
 // sanitizers see matching pairs.
 namespace {
